@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test conformance fuzz fuzz-smoke fuzz-cache fuzz-exec \
+.PHONY: test conformance fuzz fuzz-smoke fuzz-cache fuzz-exec fuzz-service \
 	cache-bench exec-bench fault-sweep service-chaos storage-chaos \
 	net-chaos service-bench check-all
 
@@ -41,6 +41,14 @@ fuzz-cache:
 # in stdout, exit code or execution profile is a finding.
 fuzz-exec:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.testing.fuzz --exec \
+	    --count $(FUZZ_COUNT) --seed $(FUZZ_SEED) \
+	    --reproducer-dir fuzz-reproducers
+
+# Service-oracle fuzzing: every seed also runs through the compile
+# service's worker pool (request -> CompilerInvocation -> worker), which
+# must be semantics-neutral against the in-process pipeline.
+fuzz-service:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.testing.fuzz --service \
 	    --count $(FUZZ_COUNT) --seed $(FUZZ_SEED) \
 	    --reproducer-dir fuzz-reproducers
 
@@ -104,6 +112,6 @@ service-bench:
 	    $(BENCH_ARGS)
 
 # Everything CI runs, in one shot.
-check-all: test conformance fuzz-smoke fuzz-exec fault-sweep \
+check-all: test conformance fuzz-smoke fuzz-exec fuzz-service fault-sweep \
 	service-chaos storage-chaos net-chaos cache-bench exec-bench \
 	service-bench

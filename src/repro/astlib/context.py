@@ -38,9 +38,6 @@ class TargetInfo:
     ptrdiff_t_kind: BuiltinKind = BuiltinKind.LONG
     char_is_signed: bool = True
 
-    def builtin_width(self, kind: BuiltinKind) -> int:
-        return BUILTIN_WIDTH[kind]
-
 
 class ASTContext:
     """Owns type uniquing and layout computation for one translation unit."""
@@ -287,6 +284,3 @@ class ASTContext:
     # ------------------------------------------------------------------
     def is_same_type(self, a: QualType, b: QualType) -> bool:
         return desugar(a).type is desugar(b).type
-
-    def integer_is_wider_or_equal(self, a: QualType, b: QualType) -> bool:
-        return self.type_width(a) >= self.type_width(b)

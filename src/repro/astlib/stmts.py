@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from repro.sourcemgr.location import SourceLocation, SourceRange
+from repro.sourcemgr.location import SourceLocation
 
 if TYPE_CHECKING:
     from repro.astlib.decls import CapturedDecl, Decl, LabelDecl, VarDecl
@@ -39,9 +39,6 @@ class Stmt:
         paper's description of clang's *shadow AST*.
         """
         return ()
-
-    def source_range(self) -> SourceRange:
-        return SourceRange.from_location(self.location)
 
     def dump_name(self) -> str:
         return type(self).__name__
@@ -286,21 +283,6 @@ class ReturnStmt(Stmt):
 
     def children(self) -> Iterable[Optional[Stmt]]:
         return (self.value,)
-
-
-class LabelStmt(Stmt):
-    def __init__(
-        self,
-        decl: "LabelDecl",
-        sub_stmt: Stmt,
-        location: SourceLocation | None = None,
-    ) -> None:
-        super().__init__(location)
-        self.decl = decl
-        self.sub_stmt = sub_stmt
-
-    def children(self) -> Iterable[Optional[Stmt]]:
-        return (self.sub_stmt,)
 
 
 class GotoStmt(Stmt):

@@ -130,15 +130,6 @@ class Type:
     def is_pointer(self) -> bool:
         return isinstance(self, PointerType)
 
-    def is_array(self) -> bool:
-        return isinstance(self, ArrayType)
-
-    def is_record(self) -> bool:
-        return isinstance(self, RecordType)
-
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
     def is_reference(self) -> bool:
         return isinstance(self, ReferenceType)
 
@@ -189,10 +180,6 @@ class QualType:
         if item.startswith("is_") or item == "integer_rank":
             return getattr(self.type, item)
         raise AttributeError(item)
-
-    def same_type(self, other: "QualType") -> bool:
-        """Canonical unqualified type equality."""
-        return self.type is other.type
 
     def __str__(self) -> str:
         return self.spelling()

@@ -10,10 +10,10 @@ re-runs the stages downstream of the first divergence.
 Public surface::
 
     from repro.cache import CompilationCache
-    from repro.pipeline import compile_source_cached
+    from repro.pipeline import compile_source
 
     cache = CompilationCache(".miniclang-cache")
-    cc = compile_source_cached(source, cache, optimize=True)
+    cc = compile_source(source, cache=cache, optimize=True)
     cc.ir_text           # byte-identical to a cold compile
     cc.hit               # True on the warm path
 
@@ -37,10 +37,7 @@ from repro.cache.integrity import (
 )
 from repro.cache.key import (
     CACHE_FORMAT_VERSION,
-    canonicalize_flag_tokens,
     canonicalize_source,
-    define_items,
-    request_fingerprint,
     source_id,
     stage_key,
     token_stream_text,
@@ -57,12 +54,9 @@ __all__ = [
     "InflightTable",
     "IntegrityError",
     "LRUTier",
-    "canonicalize_flag_tokens",
     "canonicalize_source",
-    "define_items",
     "degraded_key",
     "payload_digest",
-    "request_fingerprint",
     "seal",
     "source_id",
     "stage_key",

@@ -94,7 +94,7 @@ def degraded_key(key: str) -> str:
 
 @dataclass
 class CachedCompile:
-    """What :func:`repro.pipeline.compile_source_cached` returns.
+    """What :func:`repro.pipeline.compile_source` returns with a cache.
 
     ``hit`` means the final artifact came straight from the cache;
     ``resumed_from`` names the deepest memoized stage that let the

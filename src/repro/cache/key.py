@@ -1,23 +1,28 @@
 """Content-addressed cache keys.
 
 Every cache entry is addressed by a SHA-256 over *canonicalized* input:
-the source text (line endings normalized), the flag set (whitespace
-around flag tokens stripped, ``-D`` defines order-insensitive,
-``-I`` search paths order-*sensitive* — include order is semantics),
-the pipeline stage, and :data:`CACHE_FORMAT_VERSION`.  Bumping the
-version orphans every existing entry instead of misinterpreting it,
-the same trick ccache's ``cache_version`` plays.
+the source text (line endings normalized), the options of a
+:class:`~repro.invocation.CompilerInvocation` (``-D`` defines
+order-insensitive, ``-I`` search paths order-*sensitive* — include
+order is semantics), the pipeline stage, and
+:data:`CACHE_FORMAT_VERSION`.  Bumping the version orphans every
+existing entry instead of misinterpreting it, the same trick ccache's
+``cache_version`` plays.
 
-Keys chain along the pipeline, one per stage boundary::
+Keys chain along the pipeline, one per stage boundary, each hashing
+the invocation options tagged with that stage
+(:meth:`~repro.invocation.CompilerInvocation.key_material`)::
 
-    k_pp  = H(version, "preprocess", token stream, filename, pp flags)
-    k_fe  = H("frontend", k_pp, representation, error limit)
-    k_cg  = H("codegen",  k_fe)
+    k_pp  = H(version, "preprocess", token stream, preprocess options)
+    k_fe  = H("frontend", k_pp, frontend options)
+    k_cg  = H("codegen",  k_fe, codegen options)
     k_opt = H("opt",      k_cg, pass pipeline names)
 
 so a flag that only affects a late stage (``-O``) leaves every upstream
 key unchanged and the cached upstream artifacts stay addressable —
 the first *divergent* input decides where recompilation must resume.
+The exact-repeat key is
+:meth:`~repro.invocation.CompilerInvocation.fingerprint`.
 
 The preprocess key hashes the post-preprocess **token stream**, not the
 raw bytes: comment and whitespace edits produce the identical stream,
@@ -31,13 +36,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.lex.tokens import Token
 
 #: bump whenever artifact layout or any key ingredient changes meaning
-#: (2: on-disk entries gained self-verifying SHA-256 envelopes)
-CACHE_FORMAT_VERSION = 2
+#: (2: on-disk entries gained self-verifying SHA-256 envelopes;
+#: 3: request and stage keys hash CompilerInvocation option groups)
+CACHE_FORMAT_VERSION = 3
 
 
 def _digest(payload: object) -> str:
@@ -53,26 +59,6 @@ def _digest(payload: object) -> str:
 def canonicalize_source(source: str) -> str:
     """Line-ending normalization: CRLF / lone CR become LF."""
     return source.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def canonicalize_flag_tokens(tokens: Iterable[str]) -> tuple[str, ...]:
-    """Strip insignificant whitespace from a raw flag list.
-
-    ``["-O ", "  -fopenmp"]`` and ``["-fopenmp", "-O"]`` canonicalize
-    identically (order-insensitive after stripping, empties dropped):
-    driver flag *spelling* whitespace and ordering are not semantics.
-    Flags whose relative order matters (include paths) must be keyed
-    positionally — see :func:`request_fingerprint`'s ``include_paths``.
-    """
-    stripped = (token.strip() for token in tokens)
-    return tuple(sorted(t for t in stripped if t))
-
-
-def define_items(
-    defines: Optional[dict[str, str]],
-) -> tuple[tuple[str, str], ...]:
-    """``-D`` macro table as a sorted, order-insensitive tuple."""
-    return tuple(sorted((defines or {}).items()))
 
 
 def token_stream_text(tokens: Sequence[Token]) -> str:
@@ -108,46 +94,6 @@ def stage_key(
             "stage": stage,
             "parent": parent,
             "material": material,
-        }
-    )
-
-
-def request_fingerprint(
-    source: str,
-    *,
-    filename: str = "<input>",
-    openmp: bool = True,
-    enable_irbuilder: bool = False,
-    optimize: bool = False,
-    strip_omp_transforms: bool = False,
-    defines: Optional[dict[str, str]] = None,
-    include_paths: Sequence[str] = (),
-    error_limit: int = 0,
-    extra_flags: Iterable[str] = (),
-    action: str = "compile",
-) -> str:
-    """Exact-identity key of one whole request (raw source + flags).
-
-    This is the outermost address: the fast path for byte-identical
-    repeats and the single-flight collapse key.  ``include_paths`` keeps
-    its order (header search order is observable); ``defines`` and
-    ``extra_flags`` are canonicalized order-insensitively.
-    """
-    return _digest(
-        {
-            "version": CACHE_FORMAT_VERSION,
-            "kind": "request",
-            "source": canonicalize_source(source),
-            "filename": filename,
-            "action": action,
-            "openmp": openmp,
-            "mode": "irbuilder" if enable_irbuilder else "shadow",
-            "optimize": bool(optimize),
-            "strip": strip_omp_transforms,
-            "defines": define_items(defines),
-            "include_paths": list(include_paths),
-            "error_limit": error_limit,
-            "extra_flags": canonicalize_flag_tokens(extra_flags),
         }
     )
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sourcemgr.source_manager import SourceManager
@@ -286,11 +286,3 @@ class DiagnosticsEngine:
 
     def __len__(self) -> int:
         return len(self.diagnostics)
-
-
-def format_diagnostics(
-    diags: Iterable[Diagnostic],
-    source_manager: Optional["SourceManager"] = None,
-) -> str:
-    """Render an arbitrary iterable of diagnostics."""
-    return "\n".join(d.render(source_manager) for d in diags)

@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from repro.core.crash_recovery import (
     InternalCompilerError,
@@ -74,6 +75,7 @@ from repro.interp import (
     MemoryError_,
     Trap,
 )
+from repro.invocation import CompilerInvocation
 from repro.pipeline import CompilationError, compile_source, run_source
 
 
@@ -260,7 +262,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-fprofile-report",
         action="store_true",
-        dest="profile_report",
+        dest="profile_detail",
         help="with --run: print the dynamic execution profile",
     )
     parser.add_argument(
@@ -379,7 +381,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strip-omp-transforms",
         action="store_true",
-        dest="strip_omp_transforms",
         help="discard '#pragma omp unroll/tile/reverse/interchange/"
         "fuse' directives before parsing (worksharing directives are "
         "kept) — the differential-testing reference configuration: by "
@@ -390,7 +391,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        dest="timeout",
+        dest="timeout_s",
         metavar="SECONDS",
         help="with --run: wall-clock limit for guest execution "
         f"(exit code {EXIT_TIMEOUT} with a scheduler snapshot)",
@@ -408,7 +409,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--max-memory",
         type=int,
         default=None,
-        dest="max_memory",
+        dest="memory_limit",
         metavar="BYTES",
         help="with --run: guest memory ceiling",
     )
@@ -416,7 +417,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--max-recursion",
         type=int,
         default=256,
-        dest="max_recursion",
+        dest="max_call_depth",
         metavar="FRAMES",
         help="with --run: guest call-depth limit (default 256)",
     )
@@ -565,14 +566,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"miniclang: error: {err}", file=sys.stderr)
         return EXIT_USER_ERROR
     set_crash_recovery_enabled(args.crash_recovery)
-
-    defines: dict[str, str] = {}
-    for item in args.defines:
-        if "=" in item:
-            name, value = item.split("=", 1)
-        else:
-            name, value = item, "1"
-        defines[name] = value
+    # --run wins over the AST-only actions: it needs the module.
+    ci = CompilerInvocation.from_args(
+        args,
+        invocation=invocation,
+        syntax_only=not args.run
+        and (args.syntax_only or args.ast_dump or args.ast_dump_shadow),
+    )
 
     cache = None
     if cache_dir is not None:
@@ -621,9 +621,7 @@ def main(argv: list[str] | None = None) -> int:
             # repro.driver.exitcodes).
             code = worst_exit_code(
                 code,
-                _drive(
-                    args, source, filename, defines, invocation, cache
-                ),
+                _drive(args, source, replace(ci, filename=filename), cache),
             )
     finally:
         FAULTS.disarm_all()
@@ -658,14 +656,7 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-def _drive(
-    args,
-    source: str,
-    filename: str,
-    defines: dict,
-    invocation: str,
-    cache=None,
-) -> int:
+def _drive(args, source: str, ci: CompilerInvocation, cache=None) -> int:
     """Map every outcome of one input to its exit code.
 
     0 = success, 1 = user diagnostics / guest failure, 70 = internal
@@ -675,9 +666,7 @@ def _drive(
     from repro.runtime.team import TeamError
 
     try:
-        return _drive_one(
-            args, source, filename, defines, invocation, cache
-        )
+        return _drive_one(args, source, ci, cache)
     except CompilationError as err:
         print(err.diagnostics_text, file=sys.stderr)
         return EXIT_ICE if err.ice else EXIT_USER_ERROR
@@ -713,76 +702,15 @@ def _drive(
 
 
 def _drive_one(
-    args,
-    source: str,
-    filename: str,
-    defines: dict,
-    invocation: str,
-    cache=None,
+    args, source: str, ci: CompilerInvocation, cache=None
 ) -> int:
     """The actual compile/run logic for one input (exceptions are
     mapped to exit codes by :func:`_drive`)."""
     instrument = _build_instrumentation(args)
-    if (
-        cache is not None
-        and not args.run
-        and not args.ast_dump
-        and not args.ast_dump_shadow
-        and not args.syntax_only
-        and instrument is None
-        and not (args.rpass or args.rpass_missed or args.rpass_analysis)
-    ):
-        # Plain compile: the memoized path.  Introspection flags
-        # (-print-before/-Rpass/-verify-each/...) need the passes to
-        # actually execute, so they fall through to the cold pipeline.
-        from repro.pipeline import compile_source_cached
-
-        cc = compile_source_cached(
-            source,
-            cache,
-            filename=filename,
-            openmp=args.openmp,
-            enable_irbuilder=args.enable_irbuilder,
-            optimize=args.optimize,
-            defines=defines,
-            include_paths=args.include_paths,
-            strip_omp_transforms=args.strip_omp_transforms,
-            error_limit=args.error_limit,
-            crash_reproducer_dir=args.crash_reproducer_dir,
-            invocation=invocation,
-        )
-        if cc.diagnostics_text:
-            print(cc.diagnostics_text, file=sys.stderr)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(cc.ir_text + "\n")
-        else:
-            print(cc.ir_text)
-        return 0
     if args.run:
-        result = run_source(
-            source,
-            entry=args.entry,
-            num_threads=args.num_threads,
-            filename=filename,
-            openmp=args.openmp,
-            enable_irbuilder=args.enable_irbuilder,
-            defines=defines,
-            optimize=args.optimize,
-            profile_detail=args.profile_report,
-            instrument=instrument,
-            error_limit=args.error_limit,
-            crash_reproducer_dir=args.crash_reproducer_dir,
-            invocation=invocation,
-            fuel=args.fuel,
-            timeout_s=args.timeout,
-            memory_limit=args.max_memory,
-            max_call_depth=args.max_recursion,
-            strip_omp_transforms=args.strip_omp_transforms,
-            exec_engine=args.exec_engine,
-        )
+        result = run_source(source, ci, instrument=instrument)
         _emit_remarks(args, result.compile_result)
-        if args.profile_report:
+        if ci.profile_detail:
             print(
                 result.profile.render_text(
                     result.compile_result.module
@@ -793,48 +721,28 @@ def _drive_one(
         code = result.exit_code
         return int(code) & 0xFF if isinstance(code, int) else 0
 
-    result = compile_source(
-        source,
-        filename=filename,
-        openmp=args.openmp,
-        enable_irbuilder=args.enable_irbuilder,
-        syntax_only=args.syntax_only
-        or args.ast_dump
-        or args.ast_dump_shadow,
-        defines=defines,
-        include_paths=args.include_paths,
-        error_limit=args.error_limit,
-        crash_reproducer_dir=args.crash_reproducer_dir,
-        invocation=invocation,
-        strip_omp_transforms=args.strip_omp_transforms,
-    )
-
-    warnings = result.diagnostics.render_all()
-    if warnings:
-        print(warnings, file=sys.stderr)
-
-    output_text = ""
-    if args.ast_dump or args.ast_dump_shadow:
-        output_text = result.ast_dump(
-            function=args.function,
-            dump_shadow=args.ast_dump_shadow,
-        )
-    elif not args.syntax_only:
-        if args.optimize and result.module is not None:
-            from repro.core.crash_recovery import crash_context
-            from repro.midend import default_pass_pipeline
-
-            with crash_context(
-                source,
-                filename,
-                invocation,
-                args.crash_reproducer_dir,
-            ):
-                default_pass_pipeline(
-                    remarks=result.diagnostics.remarks,
-                    instrument=instrument,
-                ).run(result.module)
-        output_text = result.ir_text()
+    # Introspection flags (-print-before/-Rpass/-verify-each/...) need
+    # the passes to actually execute, so only a plain compile goes
+    # through the cache.
+    if instrument is not None or ci.syntax_only or (
+        args.rpass or args.rpass_missed or args.rpass_analysis
+    ):
+        cache = None
+    result = compile_source(source, ci, cache=cache, instrument=instrument)
+    if cache is not None:
+        diagnostics, output_text = result.diagnostics_text, result.ir_text
+    else:
+        diagnostics = result.diagnostics_text()
+        output_text = ""
+        if args.ast_dump or args.ast_dump_shadow:
+            output_text = result.ast_dump(
+                function=args.function,
+                dump_shadow=args.ast_dump_shadow,
+            )
+        elif not ci.syntax_only:
+            output_text = result.ir_text()
+    if diagnostics:
+        print(diagnostics, file=sys.stderr)
     _emit_remarks(args, result)
 
     if output_text:

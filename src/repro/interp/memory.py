@@ -69,13 +69,6 @@ class Memory:
         self._brk = new_brk
         return addr
 
-    def watermark(self) -> int:
-        return self._brk
-
-    def release_to(self, mark: int) -> None:
-        """Pop stack allocations (frame unwind)."""
-        self._brk = mark
-
     # ------------------------------------------------------------------
     # Function pseudo-addresses
     # ------------------------------------------------------------------

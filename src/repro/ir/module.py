@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from repro.ir.instructions import Instruction, PhiInst
 from repro.ir.types import FunctionType, IRType, label_t, ptr
@@ -184,11 +184,6 @@ class Module:
         while f"{base}.{i}" in self.globals or f"{base}.{i}" in self.functions:
             i += 1
         return f"{base}.{i}"
-
-    def defined_functions(self) -> Iterable[Function]:
-        return (
-            f for f in self.functions.values() if not f.is_declaration
-        )
 
     def __repr__(self) -> str:
         return (

@@ -122,16 +122,6 @@ class TokenKind(enum.Enum):
     def is_keyword(self) -> bool:
         return self.name.startswith("KW_")
 
-    def is_annotation(self) -> bool:
-        return self.name.startswith("ANNOT_")
-
-    def is_literal(self) -> bool:
-        return self in (
-            TokenKind.NUMERIC_CONSTANT,
-            TokenKind.CHAR_CONSTANT,
-            TokenKind.STRING_LITERAL,
-        )
-
 
 #: identifier text -> keyword kind (applied by the lexer, like clang's
 #: IdentifierTable).  ``_Bool`` maps onto ``bool``.
@@ -231,9 +221,6 @@ PUNCTUATORS: dict[str, TokenKind] = {
     "#": TokenKind.HASH,
 }
 
-_MAX_PUNCT_LEN = max(len(p) for p in PUNCTUATORS)
-
-
 @dataclass
 class Token:
     """One lexed token.
@@ -256,9 +243,6 @@ class Token:
     def is_(self, kind: TokenKind) -> bool:
         return self.kind == kind
 
-    def is_not(self, kind: TokenKind) -> bool:
-        return self.kind != kind
-
     def is_one_of(self, *kinds: TokenKind) -> bool:
         return self.kind in kinds
 
@@ -276,7 +260,3 @@ class Token:
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.spelling!r})"
-
-
-def max_punctuator_length() -> int:
-    return _MAX_PUNCT_LEN

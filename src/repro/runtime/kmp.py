@@ -50,14 +50,6 @@ class OpenMPRuntime:
         self.barrier_count = 0
 
     # ------------------------------------------------------------------
-    @property
-    def current_team(self) -> Team | None:
-        return self.team_stack[-1] if self.team_stack else None
-
-    def team_of(self, ctx: ExecutionContext) -> Team | None:
-        return ctx.team
-
-    # ------------------------------------------------------------------
     # Installation
     # ------------------------------------------------------------------
     def install(self, interp: "Interpreter") -> None:

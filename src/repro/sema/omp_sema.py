@@ -1219,14 +1219,6 @@ class OpenMPSema:
         directive.analyses = analyses  # type: ignore[attr-defined]
         return directive
 
-    def _wrap_nest_in_canonical_loops(
-        self, analyses: list[CanonicalLoopAnalysis]
-    ) -> s.Stmt:
-        """Wrap the outermost loop of a nest; inner loops are reached by
-        the OpenMPIRBuilder through nested ``create_canonical_loop``
-        callbacks (paper §3.2)."""
-        return build_canonical_loop(self.ctx, analyses[0])
-
     # ==================================================================
     # Captured statements (early outlining support, paper §1.2)
     # ==================================================================

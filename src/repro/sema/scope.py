@@ -87,9 +87,6 @@ class Scope:
                 return scope
         return None
 
-    def local_decls(self) -> list[NamedDecl]:
-        return list(self._decls.values())
-
     def depth(self) -> int:
         return sum(1 for _ in self.ancestors()) - 1
 

@@ -466,6 +466,7 @@ def build_storage_phases(
 
 
 def run_storage_chaos(args) -> int:
+    from repro.invocation import CompilerInvocation
     from repro.pipeline import execute_request
 
     phase_a, phase_b, plan_a, plan_b = build_storage_phases(args)
@@ -477,10 +478,10 @@ def run_storage_chaos(args) -> int:
     for src in range(_N_STORAGE_SOURCES):
         outcome = execute_request(
             _make_source(src, " [storage]"),
-            filename=f"storage-{src}.c",
-            action="compile",
-            mode=_storage_mode(src),
-            cache=None,
+            CompilerInvocation(
+                filename=f"storage-{src}.c",
+                enable_irbuilder=_storage_mode(src) == "irbuilder",
+            ),
         )
         if outcome.kind != "ok":
             print(

@@ -122,10 +122,6 @@ class FrameDecoder:
         signal the server's slow-loris timer keys on."""
         return len(self._buffer) > 0 or self._skip is not None
 
-    @property
-    def buffered_bytes(self) -> int:
-        return len(self._buffer)
-
     # ------------------------------------------------------------------
     def _emit_error(
         self, events: list[Event], error: FrameError

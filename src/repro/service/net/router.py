@@ -298,11 +298,6 @@ class ShardRouter:
             return sum(s.depth for s in self._shards)
 
     @property
-    def depths(self) -> list[int]:
-        with self._lock:
-            return [s.depth for s in self._shards]
-
-    @property
     def draining(self) -> bool:
         return self._draining
 

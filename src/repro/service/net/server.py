@@ -184,10 +184,6 @@ class NetServer:
     def draining(self) -> bool:
         return self._draining
 
-    @property
-    def connection_count(self) -> int:
-        return len(self._conns)
-
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------

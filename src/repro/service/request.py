@@ -16,10 +16,10 @@ fields), so a worker death can never strand unpicklable state.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, fields
 from typing import Optional
+
+from repro.invocation import CompilerInvocation
 
 # ----------------------------------------------------------------------
 # Terminal response statuses
@@ -97,32 +97,31 @@ class CompileRequest:
     #: trace, OpenTelemetry-style)
     trace_id: Optional[str] = None
 
-    def fingerprint(self) -> str:
-        """Stable identity of the *input* for the circuit breaker.
-
-        Covers everything that determines how an attempt behaves —
-        source, action, representation, execution knobs and the armed
-        fault specs (which stand in for input-dependent compiler bugs in
-        chaos tests) — so one poison input cannot open the breaker for
-        unrelated healthy traffic.
-        """
-        key = json.dumps(
-            [
-                self.source,
-                self.action,
-                self.mode,
-                self.optimize,
-                self.num_threads,
-                self.entry,
-                sorted(self.defines.items()),
-                self.fuel,
-                self.strip_omp_transforms,
-                list(self.inject_faults),
-                self.fault_attempts,
-            ],
-            separators=(",", ":"),
+    def invocation(self) -> CompilerInvocation:
+        """The compiler options this request asks for."""
+        return CompilerInvocation(
+            filename=self.filename,
+            enable_irbuilder=self.mode == "irbuilder",
+            optimize=self.optimize,
+            num_threads=self.num_threads,
+            entry=self.entry,
+            defines=self.defines,
+            fuel=self.fuel,
+            strip_omp_transforms=self.strip_omp_transforms,
         )
-        return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+
+    def fingerprint(self) -> str:
+        """The breaker, single-flight and response-cache key: the
+        invocation fingerprint (source and every answer-changing
+        option) chained with the action and the armed fault specs
+        (stand-ins for input-dependent compiler bugs in chaos tests)."""
+        from repro.cache.key import stage_key
+
+        return stage_key(
+            "service-request",
+            self.invocation().fingerprint(self.source),
+            [self.action, list(self.inject_faults), self.fault_attempts],
+        )[:16]
 
     def faults_for_attempt(self, attempt: int) -> tuple[str, ...]:
         """The fault specs armed for 0-based attempt index *attempt*."""
@@ -207,15 +206,9 @@ class WorkPayload:
     request_id: str
     attempt: int
     source: str
-    filename: str
     action: str
-    mode: str
-    optimize: bool
-    num_threads: int
-    entry: str
-    defines: dict[str, str]
-    fuel: Optional[int]
-    strip_omp_transforms: bool
+    #: the request's options, on the representation of this attempt
+    invocation: CompilerInvocation
     inject_faults: tuple[str, ...]
     #: directory of the shared on-disk compilation cache; None disables
     #: worker-side artifact caching for this attempt

@@ -32,7 +32,7 @@ representation:
   worker; degraded answers live under a ``#degraded``-tagged key and
   nothing is served or stored while the fingerprint's breaker is not
   closed.  Workers additionally share a per-stage artifact cache
-  through ``cache_dir`` (:func:`repro.pipeline.compile_source_cached`);
+  through ``cache_dir`` (:mod:`repro.cache.stages`);
 * **single-flight dedup** — concurrent identical fingerprints collapse
   onto one leader execution; followers park and receive copies of the
   leader's terminal response (``coalesced=True``).
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import os
 import random
+import shlex
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -268,6 +269,7 @@ class _RequestState:
 
     def __init__(self, request: CompileRequest, now: float) -> None:
         self.request = request
+        self.invocation = request.invocation()
         self.fingerprint = request.fingerprint()
         # Deterministic per-input jitter: same batch, same timing.
         self.rng = random.Random(int(self.fingerprint, 16))
@@ -923,15 +925,11 @@ class CompileService:
             request_id=request.request_id,
             attempt=attempt,
             source=request.source,
-            filename=request.filename,
             action=request.action,
-            mode=state.mode,
-            optimize=request.optimize,
-            num_threads=request.num_threads,
-            entry=request.entry,
-            defines=dict(request.defines),
-            fuel=request.fuel,
-            strip_omp_transforms=request.strip_omp_transforms,
+            invocation=replace(
+                state.invocation,
+                enable_irbuilder=state.mode == "irbuilder",
+            ),
             inject_faults=request.faults_for_attempt(attempt),
             cache_dir=(
                 self.config.cache_dir
@@ -1366,15 +1364,12 @@ class CompileService:
             for a, mode, kind, detail in state.failures
         )
         if self.config.quarantine_dir:
-            flags = []
-            if request.mode == "irbuilder":
-                flags.append("-fopenmp-enable-irbuilder")
-            if request.optimize:
-                flags.append("-O")
+            # The reproducer directory stores the source as repro.c.
+            argv = replace(state.invocation, filename="repro.c").to_argv()
             if request.action == "run":
-                flags.append("--run")
+                argv.insert(0, "--run")
             invocation = (
-                "miniclang " + " ".join(flags + ["repro.c"])
+                "miniclang " + shlex.join(argv)
                 + "  # quarantined poison input "
                 + f"(fingerprint {state.fingerprint})"
             )

@@ -74,10 +74,7 @@ def _attempt_cache(payload: WorkPayload):
         sites = (spec.partition(":")[0] for spec in payload.inject_faults)
         if any(FAULTS.scope_of(site) != "storage" for site in sites):
             return None
-    return _cache_for(
-        getattr(payload, "cache_dir", None),
-        getattr(payload, "cache_durable", False),
-    )
+    return _cache_for(payload.cache_dir, payload.cache_durable)
 
 
 def _finalize(payload: WorkPayload, outcome: WorkOutcome) -> WorkOutcome:
@@ -92,7 +89,7 @@ def _finalize(payload: WorkPayload, outcome: WorkOutcome) -> WorkOutcome:
         "worker_attempt_duration_seconds",
         "Per-attempt wall time inside the worker process",
         ("kind", "mode"),
-    ).labels(kind=outcome.kind, mode=payload.mode).observe(
+    ).labels(kind=outcome.kind, mode=payload.invocation.mode).observe(
         outcome.duration_s
     )
     metrics.counter(
@@ -123,11 +120,7 @@ def execute_payload(payload: WorkPayload) -> WorkOutcome:
             time.sleep(_HANG_SLEEP_S)
         try:
             FAULTS.hit("service-worker")
-            FAULTS.hit(
-                "service-irbuilder"
-                if payload.mode == "irbuilder"
-                else "service-shadow"
-            )
+            FAULTS.hit(f"service-{payload.invocation.mode}")
         except InjectedFault as exc:
             return _finalize(
                 payload,
@@ -149,15 +142,8 @@ def execute_payload(payload: WorkPayload) -> WorkOutcome:
         try:
             outcome = execute_request(
                 payload.source,
-                filename=payload.filename,
+                payload.invocation,
                 action=payload.action,
-                mode=payload.mode,
-                optimize=payload.optimize,
-                num_threads=payload.num_threads,
-                entry=payload.entry,
-                defines=payload.defines,
-                fuel=payload.fuel,
-                strip_omp_transforms=payload.strip_omp_transforms,
                 cache=_attempt_cache(payload),
             )
         finally:

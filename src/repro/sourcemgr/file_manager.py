@@ -38,12 +38,6 @@ class FileManager:
         self._virtual: dict[str, MemoryBuffer] = {}
         self._buffers: dict[str, MemoryBuffer] = {}
 
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-    def add_search_path(self, path: str) -> None:
-        self.search_paths.append(path)
-
     def register_virtual_file(self, name: str, text: str) -> FileEntry:
         """Register an in-memory file; later lookups of *name* find it."""
         buf = MemoryBuffer(name, text)
@@ -88,9 +82,3 @@ class FileManager:
                 buf = MemoryBuffer(entry.name, fh.read())
             self._buffers[entry.name] = buf
         return buf
-
-    def get_buffer_for_name(self, name: str) -> MemoryBuffer | None:
-        entry = self.get_file(name)
-        if entry is None:
-            return None
-        return self.get_buffer(entry)

@@ -58,10 +58,6 @@ class SourceRange:
     begin: SourceLocation = SourceLocation()
     end: SourceLocation = SourceLocation()
 
-    @classmethod
-    def from_location(cls, loc: SourceLocation) -> "SourceRange":
-        return cls(loc, loc.with_offset(1))
-
     def is_valid(self) -> bool:
         return self.begin.is_valid() and self.end.is_valid()
 

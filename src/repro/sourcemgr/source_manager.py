@@ -70,9 +70,6 @@ class SourceManager:
     def set_main_file_id(self, fid: FileID) -> None:
         self._main_file = fid
 
-    def get_main_file_id(self) -> FileID:
-        return self._main_file
-
     def create_main_file(self, buffer: MemoryBuffer) -> FileID:
         fid = self.create_file_id(buffer)
         self.set_main_file_id(fid)
@@ -112,9 +109,6 @@ class SourceManager:
     def get_buffer(self, fid: FileID) -> MemoryBuffer:
         return self._buffers[fid.index].buffer
 
-    def get_include_loc(self, fid: FileID) -> SourceLocation:
-        return self._buffers[fid.index].include_loc
-
     def get_filename(self, loc: SourceLocation) -> str:
         fid = self.get_file_id(loc)
         if not fid.is_valid():
@@ -152,12 +146,6 @@ class SourceManager:
                 break
         return PresumedLoc(filename, line, column)
 
-    def get_line_number(self, loc: SourceLocation) -> int:
-        return self.get_presumed_loc(loc).line
-
-    def get_column_number(self, loc: SourceLocation) -> int:
-        return self.get_presumed_loc(loc).column
-
     def get_line_text(self, loc: SourceLocation) -> str | None:
         """The full physical source line containing *loc*."""
         try:
@@ -168,25 +156,7 @@ class SourceManager:
         line, _ = loaded.buffer.line_column(local)
         return loaded.buffer.line_text(line)
 
-    def get_char_data(self, loc: SourceLocation, length: int = 1) -> str:
-        """Raw source characters starting at *loc*."""
-        fid, local = self.get_decomposed_loc(loc)
-        buf = self._buffers[fid.index].buffer
-        return buf.text[local : local + length]
-
     def is_before(self, a: SourceLocation, b: SourceLocation) -> bool:
         """Translation-unit order comparison (clang's
         ``isBeforeInTranslationUnit``)."""
         return a.offset < b.offset
-
-    def location_description(self, loc: SourceLocation) -> str:
-        """``file:line:col`` string, tolerant of invalid locations."""
-        if loc.is_invalid():
-            return "<invalid loc>"
-        try:
-            return str(self.get_presumed_loc(loc))
-        except ValueError:
-            return "<unknown>"
-
-    def num_loaded_buffers(self) -> int:
-        return len(self._buffers)

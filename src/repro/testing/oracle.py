@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.invocation import CompilerInvocation
 from repro.pipeline import CompilationError, run_source
 from repro.testing.generator import GeneratedProgram
 
@@ -57,6 +58,16 @@ class Config:
     cached: bool = False
     exec_engine: str = "interp"
 
+    def invocation(self, **overrides) -> CompilerInvocation:
+        """The compiler options of this configuration."""
+        options = dict(
+            enable_irbuilder=self.enable_irbuilder,
+            optimize=self.optimize,
+            strip_omp_transforms=self.strip_omp_transforms,
+            exec_engine=self.exec_engine,
+        )
+        return CompilerInvocation(**{**options, **overrides})
+
     def run(
         self,
         source: str,
@@ -67,15 +78,12 @@ class Config:
     ):
         return run_source(
             source,
-            num_threads=num_threads,
-            enable_irbuilder=self.enable_irbuilder,
-            optimize=self.optimize,
-            strip_omp_transforms=self.strip_omp_transforms,
-            fuel=fuel,
-            exec_engine=(
-                self.exec_engine if exec_engine is None else exec_engine
+            self.invocation(
+                num_threads=num_threads,
+                fuel=fuel,
+                exec_engine=exec_engine or self.exec_engine,
+                profile_detail=profile_detail,
             ),
-            profile_detail=profile_detail,
         )
 
 
@@ -278,35 +286,19 @@ def _cache_identity_mismatch(
 
     global _ORACLE_CACHE
     from repro.cache import CompilationCache
-    from repro.ir.verifier import verify_module
-    from repro.midend import default_pass_pipeline
-    from repro.pipeline import compile_source, compile_source_cached
+    from repro.pipeline import compile_source
 
     if _ORACLE_CACHE is None:
         _ORACLE_CACHE = CompilationCache()
     cache = _ORACLE_CACHE
 
     def compile_cached(optimize: bool):
-        return compile_source_cached(
-            source,
-            cache,
-            enable_irbuilder=config.enable_irbuilder,
-            optimize=optimize,
-            strip_omp_transforms=config.strip_omp_transforms,
+        return compile_source(
+            source, config.invocation(optimize=optimize), cache=cache
         )
 
     def compile_cold(optimize: bool) -> tuple[str, str]:
-        result = compile_source(
-            source,
-            enable_irbuilder=config.enable_irbuilder,
-            strip_omp_transforms=config.strip_omp_transforms,
-            strict=True,
-        )
-        if optimize:
-            default_pass_pipeline(
-                remarks=result.diagnostics.remarks
-            ).run(result.module)
-            verify_module(result.module)
+        result = compile_source(source, config.invocation(optimize=optimize))
         return result.ir_text(), result.diagnostics_text()
 
     for optimize in (False, True):

@@ -199,6 +199,23 @@ class TestVerifyEach:
         optimize(UNROLL_SRC, instrument)  # must not raise
         assert not (tmp_path / "crashes").exists()
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_cli_O_verifies_after_the_mid_end(
+        self, tmp_path, capsys, monkeypatch, cached
+    ):
+        """A pass that breaks the IR is an internal compiler error on
+        every -O path, cached or not — never silently printed IR."""
+        import repro.midend
+
+        monkeypatch.setattr(
+            repro.midend, "default_pass_pipeline", self.seeded_pipeline
+        )
+        path = write_source(tmp_path, PLAIN_SRC)
+        flags = [f"-fcache={tmp_path / 'cache'}"] if cached else []
+        crashes = ["-crash-reproducer-dir", str(tmp_path / "crashes")]
+        assert main(["-O", *flags, *crashes, path]) == 70
+        assert capsys.readouterr().out == ""
+
     def test_cli_verify_each_clean_exit(self, tmp_path, capsys):
         path = write_source(tmp_path, UNROLL_SRC)
         assert main(["-O1", "-verify-each", path]) == 0

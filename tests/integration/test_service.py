@@ -8,8 +8,12 @@ tiny so the whole file stays fast.
 
 from __future__ import annotations
 
+import shlex
+
 import pytest
 
+from repro.driver.cli import build_arg_parser
+from repro.invocation import CompilerInvocation
 from repro.pipeline import run_source
 from repro.service import (
     STATUS_CIRCUIT_OPEN,
@@ -221,6 +225,38 @@ class TestCircuitBreaker:
             assert rejection is not None
             assert rejection.status == STATUS_CIRCUIT_OPEN
             assert rejection.attempts == 0
+
+    def test_quarantine_reproducer_replays_every_option(self, tmp_path):
+        """The reproducer's command line carries the whole invocation
+        (defines, transform stripping, entry, team size, fuel), not just
+        the representation and -O."""
+        quarantine = tmp_path / "quarantine"
+        poison = CompileRequest(
+            source=HELLO,
+            filename="poison.c",
+            action="run",
+            mode="irbuilder",
+            optimize=True,
+            num_threads=3,
+            entry="start",
+            defines={"N": "5"},
+            fuel=9000,
+            strip_omp_transforms=True,
+            inject_faults=("service-worker",),
+            fault_attempts=-1,
+        )
+        with make_service(quarantine_dir=str(quarantine)) as svc:
+            [response] = svc.process_batch([poison])
+        assert response.status == STATUS_CIRCUIT_OPEN
+        [entry] = list(quarantine.iterdir())
+        line = (entry / "cmd").read_text().split("  #")[0]
+        argv = shlex.split(line)
+        assert argv[0] == "miniclang"
+        args = build_arg_parser().parse_args(argv[1:])
+        assert args.run and args.inputs == ["repro.c"]
+        assert CompilerInvocation.from_args(
+            args, filename="poison.c", crash_reproducer_dir=None
+        ) == poison.invocation()
 
     def test_distinct_inputs_have_independent_breakers(self):
         with make_service() as svc:

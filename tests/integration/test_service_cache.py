@@ -102,6 +102,34 @@ class TestResponseCache:
         assert other.status == STATUS_OK
         assert not other.cache_hit
 
+    def test_filename_is_part_of_the_key(self):
+        """An identical source under another name must not replay the
+        first file's module (its ModuleID names the file)."""
+        with make_service() as svc:
+            [a] = svc.process_batch(
+                [CompileRequest(source=HELLO, filename="a.c")]
+            )
+            [b] = svc.process_batch(
+                [CompileRequest(source=HELLO, filename="b.c")]
+            )
+        assert a.status == b.status == STATUS_OK
+        assert not b.cache_hit
+        assert "; ModuleID = 'b.c'" in b.output
+        assert "a.c" not in b.output
+
+    def test_cached_diagnostics_name_their_own_file(self):
+        with make_service() as svc:
+            [one] = svc.process_batch(
+                [CompileRequest(source=BAD, filename="one.c")]
+            )
+            [two] = svc.process_batch(
+                [CompileRequest(source=BAD, filename="two.c")]
+            )
+        assert one.status == two.status == STATUS_ERROR
+        assert not two.cache_hit
+        assert two.diagnostics.startswith("two.c:1:")
+        assert "one.c" not in two.diagnostics
+
     def test_disk_cache_survives_service_restart(self, tmp_path):
         d = str(tmp_path / "cache")
         with make_service(cache_dir=d) as svc:

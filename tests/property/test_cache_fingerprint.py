@@ -8,8 +8,8 @@ the properties are exactly the ones a wrong key would break:
   in a fresh interpreter (no ``PYTHONHASHSEED`` leakage);
 * sensitivity — any single-byte source change, and any semantically
   distinct flag change, produces a different key;
-* insensitivity — flag-token whitespace and ordering (which the driver
-  normalizes away) do not produce a different key.
+* insensitivity — line-ending spelling and ``-D`` order do not produce
+  a different key.
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import request_fingerprint
-from repro.cache.key import (
-    canonicalize_flag_tokens,
-    source_id,
-    stage_key,
-)
+from repro.cache.key import source_id, stage_key
+from repro.invocation import CompilerInvocation
 
 FAST = settings(max_examples=50, deadline=None)
 
@@ -33,22 +29,19 @@ sources = st.text(
     min_size=1,
     max_size=120,
 )
-flag_sets = st.lists(
-    st.sampled_from(
-        ["-O", "-fopenmp", "-fno-cache", "-Werror", "-ftime-trace"]
-    ),
-    unique=True,
-    max_size=5,
-)
+
+
+def invocation_fingerprint(source: str, **options) -> str:
+    return CompilerInvocation(**options).fingerprint(source)
 
 
 class TestDeterminism:
     @FAST
     @given(source=sources, optimize=st.booleans())
     def test_same_request_same_key(self, source, optimize):
-        assert request_fingerprint(
+        assert invocation_fingerprint(
             source, optimize=optimize
-        ) == request_fingerprint(source, optimize=optimize)
+        ) == invocation_fingerprint(source, optimize=optimize)
 
     @FAST
     @given(material=st.lists(st.text(max_size=20), max_size=4))
@@ -66,11 +59,12 @@ class TestDeterminism:
 
         src_dir = os.path.dirname(os.path.dirname(repro.__file__))
         source = "int main() { return 42; }\n"
-        here = request_fingerprint(source, optimize=True)
+        here = invocation_fingerprint(source, optimize=True)
         script = (
             f"import sys; sys.path.insert(0, {src_dir!r})\n"
-            "from repro.cache import request_fingerprint\n"
-            f"print(request_fingerprint({source!r}, optimize=True))\n"
+            "from repro.invocation import CompilerInvocation\n"
+            "print(CompilerInvocation(optimize=True)"
+            f".fingerprint({source!r}))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script],
@@ -99,7 +93,7 @@ class TestSensitivity:
             return  # e.g. a CR<->LF swap: line-ending
             # canonicalization folds these together, a shared key
             # is the *correct* answer
-        assert request_fingerprint(mutated) != request_fingerprint(
+        assert invocation_fingerprint(mutated) != invocation_fingerprint(
             source
         )
         assert source_id(mutated) != source_id(source)
@@ -107,53 +101,42 @@ class TestSensitivity:
     @FAST
     @given(source=sources)
     def test_semantic_flag_changes_alter_key(self, source):
-        base = request_fingerprint(source)
-        assert request_fingerprint(source, optimize=True) != base
-        assert request_fingerprint(source, enable_irbuilder=True) != base
-        assert request_fingerprint(source, openmp=False) != base
+        base = invocation_fingerprint(source)
+        assert invocation_fingerprint(source, optimize=True) != base
+        assert invocation_fingerprint(source, enable_irbuilder=True) != base
+        assert invocation_fingerprint(source, openmp=False) != base
         assert (
-            request_fingerprint(source, strip_omp_transforms=True)
+            invocation_fingerprint(source, strip_omp_transforms=True)
             != base
         )
-        assert request_fingerprint(source, defines={"N": "4"}) != base
-        assert request_fingerprint(source, action="run") != base
+        assert invocation_fingerprint(source, defines={"N": "4"}) != base
+        assert invocation_fingerprint(source, filename="other.c") != base
 
     @FAST
     @given(source=sources, a=st.text("DN14", max_size=3))
     def test_define_value_alters_key(self, source, a):
-        assert request_fingerprint(
+        assert invocation_fingerprint(
             source, defines={"X": a}
-        ) != request_fingerprint(source, defines={"X": a + "1"})
+        ) != invocation_fingerprint(source, defines={"X": a + "1"})
 
 
 class TestInsensitivity:
     @FAST
-    @given(source=sources, flags=flag_sets, data=st.data())
-    def test_flag_whitespace_and_order_do_not_alter_key(
-        self, source, flags, data
-    ):
-        shuffled = data.draw(st.permutations(flags))
-        padded = [
-            data.draw(st.sampled_from(["", " ", "\t"]))
-            + flag
-            + data.draw(st.sampled_from(["", " ", "  "]))
-            for flag in shuffled
-        ]
-        assert request_fingerprint(
-            source, extra_flags=flags
-        ) == request_fingerprint(source, extra_flags=padded)
-
-    @FAST
-    @given(flags=flag_sets, data=st.data())
-    def test_canonical_flag_tokens_are_order_free(self, flags, data):
-        shuffled = data.draw(st.permutations(flags))
-        assert canonicalize_flag_tokens(
-            flags
-        ) == canonicalize_flag_tokens(shuffled)
+    @given(
+        source=sources,
+        defines=st.dictionaries(
+            st.sampled_from("ABCDN"), st.text("DN14", max_size=3)
+        ),
+    )
+    def test_define_order_does_not_alter_key(self, source, defines):
+        reordered = dict(reversed(list(defines.items())))
+        assert invocation_fingerprint(
+            source, defines=defines
+        ) == invocation_fingerprint(source, defines=reordered)
 
     @FAST
     @given(source=sources)
     def test_line_ending_spelling_does_not_alter_key(self, source):
-        assert request_fingerprint(
+        assert invocation_fingerprint(
             source.replace("\n", "\r\n")
-        ) == request_fingerprint(source)
+        ) == invocation_fingerprint(source)

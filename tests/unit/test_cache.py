@@ -14,19 +14,21 @@ from repro.cache import (
     CompilationCache,
     InflightTable,
     degraded_key,
-    request_fingerprint,
     stage_key,
 )
 from repro.cache.cache import DEGRADED_KEY_SUFFIX
 from repro.cache.disk import DiskTier
 from repro.cache.key import (
     CACHE_FORMAT_VERSION,
-    canonicalize_flag_tokens,
     canonicalize_source,
-    define_items,
     source_id,
 )
 from repro.cache.lru import LRUTier
+from repro.invocation import CompilerInvocation
+
+
+def invocation_fingerprint(source: str, **options) -> str:
+    return CompilerInvocation(**options).fingerprint(source)
 
 
 class TestKeys:
@@ -34,15 +36,10 @@ class TestKeys:
         assert canonicalize_source("a\r\nb\rc\n") == "a\nb\nc\n"
         assert source_id("a\r\nb") == source_id("a\nb")
 
-    def test_flag_whitespace_and_order_are_not_identity(self):
-        assert canonicalize_flag_tokens(
-            ["  -O ", "-fopenmp"]
-        ) == canonicalize_flag_tokens(["-fopenmp", "-O", ""])
-
     def test_defines_are_order_insensitive(self):
-        assert define_items({"A": "1", "B": "2"}) == define_items(
-            {"B": "2", "A": "1"}
-        )
+        assert invocation_fingerprint(
+            "x", defines={"A": "1", "B": "2"}
+        ) == invocation_fingerprint("x", defines={"B": "2", "A": "1"})
 
     def test_stage_key_depends_on_every_ingredient(self):
         base = stage_key("codegen", "parent", ["m"])
@@ -52,23 +49,18 @@ class TestKeys:
         assert stage_key("codegen", "parent", ["m"]) == base
 
     def test_fingerprint_is_deterministic_and_flag_sensitive(self):
-        fp = request_fingerprint("int main() {}\n")
-        assert fp == request_fingerprint("int main() {}\n")
-        assert fp != request_fingerprint("int main() {}\n", optimize=True)
-        assert fp != request_fingerprint(
+        fp = invocation_fingerprint("int main() {}\n")
+        assert fp == invocation_fingerprint("int main() {}\n")
+        assert fp != invocation_fingerprint("int main() {}\n", optimize=True)
+        assert fp != invocation_fingerprint(
             "int main() {}\n", enable_irbuilder=True
         )
-        assert fp != request_fingerprint("int main( ) {}\n")
+        assert fp != invocation_fingerprint("int main( ) {}\n")
 
     def test_fingerprint_include_path_order_matters(self):
-        a = request_fingerprint("x", include_paths=["inc1", "inc2"])
-        b = request_fingerprint("x", include_paths=["inc2", "inc1"])
+        a = invocation_fingerprint("x", include_paths=["inc1", "inc2"])
+        b = invocation_fingerprint("x", include_paths=["inc2", "inc1"])
         assert a != b  # header search order is semantics
-
-    def test_fingerprint_extra_flag_spelling_is_not_identity(self):
-        a = request_fingerprint("x", extra_flags=["-O ", " -fopenmp"])
-        b = request_fingerprint("x", extra_flags=["-fopenmp", "-O"])
-        assert a == b
 
     def test_degraded_key_is_tagged(self):
         assert degraded_key("abc") == "abc" + DEGRADED_KEY_SUFFIX

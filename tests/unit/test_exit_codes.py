@@ -172,6 +172,18 @@ class TestBatchAggregation:
         assert code == EXIT_USER_ERROR
         assert "define" in captured.out  # IR of ok.c was still emitted
 
+    def test_each_input_compiles_under_its_own_name(self, write, capsys):
+        a = write("a.c", OK_SOURCE)
+        b = write("b.c", OK_SOURCE)
+        assert main([a, b]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"; ModuleID = '{a}'" in out
+        assert f"; ModuleID = '{b}'" in out
+
+    def test_run_takes_precedence_over_syntax_only(self, write, capsys):
+        ok = write("ok.c", OK_SOURCE)
+        assert main(["--run", "-fsyntax-only", ok]) == EXIT_OK
+
     def test_unreadable_input_is_user_error(self, write, capsys):
         ok = write("ok.c", OK_SOURCE)
         assert main(["/nonexistent/missing.c", ok]) == EXIT_USER_ERROR

@@ -278,14 +278,20 @@ class TestRequestTypes:
                 inject_faults=("service-worker",),
                 fault_attempts=-1,
             ),
+            # the filename is the IR's ModuleID and the diagnostics'
+            # file name: it changes the answer
+            CompileRequest(
+                source="int main() { return 0; }", filename="other.c"
+            ),
         ):
             assert request.fingerprint() != variant.fingerprint()
-        # identity fields don't change the fingerprint
+        # identity and scheduling fields don't change the fingerprint
         renamed = CompileRequest(
             source="int main() { return 0; }",
-            filename="other.c",
             request_id="r1",
             deadline_s=1.0,
+            budget_s=2.0,
+            trace_id="t1",
         )
         assert request.fingerprint() == renamed.fingerprint()
 

@@ -2,7 +2,7 @@
 """Compilation-cache benchmark: cold vs warm latency over a corpus.
 
 Replays the ``examples/`` sources plus a slice of the fuzzer's
-generated corpus through :func:`repro.pipeline.compile_source_cached`
+generated corpus through a cached :func:`repro.pipeline.compile_source`
 three ways per source and optimization level:
 
 * **cold** — empty cache, the full pipeline runs;
@@ -40,10 +40,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.cache import CompilationCache  # noqa: E402
-from repro.pipeline import (  # noqa: E402
-    CompilationError,
-    compile_source_cached,
-)
+from repro.pipeline import CompilationError, compile_source  # noqa: E402
 from repro.testing.generator import generate_program  # noqa: E402
 
 
@@ -94,16 +91,16 @@ def run_bench(
             label = f"{name}@O{int(optimize)}"
             try:
                 cold_ms = _time_ms(
-                    lambda: compile_source_cached(
-                        source, cache, optimize=optimize
+                    lambda: compile_source(
+                        source, cache=cache, optimize=optimize
                     )
                 )
             except CompilationError:
                 continue  # fuzz corpus noise: skip invalid programs
             warm_samples = [
                 _time_ms(
-                    lambda: compile_source_cached(
-                        source, cache, optimize=optimize
+                    lambda: compile_source(
+                        source, cache=cache, optimize=optimize
                     )
                 )
                 for _ in range(repeats)
@@ -122,9 +119,7 @@ def run_bench(
     fresh = CompilationCache(cache_dir)
     disk_samples = [
         _time_ms(
-            lambda: compile_source_cached(
-                corpus[i % len(corpus)][1], fresh
-            )
+            lambda: compile_source(corpus[i % len(corpus)][1], cache=fresh)
         )
         for i in range(min(len(corpus), 32))
     ]
