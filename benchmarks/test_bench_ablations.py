@@ -124,6 +124,7 @@ class TestUnrollSchemeAblation:
         benchmark.extra_info["scheme"] = "conditional-exit"
 
     def test_schemes_selected_as_designed(self):
+        from repro.instrument.stats import STATS
         from repro.midend import LoopUnrollPass
 
         for src, expect_remainder in (
@@ -132,11 +133,18 @@ class TestUnrollSchemeAblation:
         ):
             result = compile_source(src, openmp=False)
             pass_ = LoopUnrollPass()
+            before = STATS.snapshot()
             pass_.run_on_function(result.module.get_function("main"))
+            unrolled = {
+                row["labels"]["strategy"]: row["value"]
+                for row in STATS.delta_since(before)[
+                    "loop-unroll.loops-unrolled"
+                ]["series"]
+            }
             if expect_remainder:
-                assert pass_.stats.partially_unrolled == 1
+                assert unrolled.get("partial") == 1
             else:
-                assert pass_.stats.conditionally_unrolled == 1
+                assert unrolled.get("conditional") == 1
 
     def test_remainder_beats_conditional(self):
         """The remainder scheme drops the per-copy checks; it must

@@ -67,6 +67,8 @@ from repro.instrument import (
     PassVerificationError,
     disable_time_trace,
     enable_time_trace,
+    render_stats_text,
+    stat_rows,
 )
 from repro.interp import (
     DeadlockError,
@@ -490,26 +492,6 @@ def _extract_cache_flags(
     return remaining, cache_dir, durable
 
 
-def _write_stats_json(
-    path: str, stats_before: dict[str, int]
-) -> None:
-    """Write the statistics deltas since *stats_before* as JSON with
-    deterministically sorted keys (``-`` = stdout).  Shared by
-    ``miniclang --stats-json`` and ``miniclang-serve --stats-json``."""
-    import json
-
-    payload = json.dumps(
-        STATS.render_json(STATS.delta_since(stats_before)),
-        indent=1,
-        sort_keys=True,
-    )
-    if path == "-":
-        print(payload)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-
-
 def _default_trace_path(input_name: str) -> str:
     if input_name == "-":
         return "stdin.time-trace.json"
@@ -635,25 +617,41 @@ def main(argv: list[str] | None = None) -> int:
             )
             with open(trace_path, "w", encoding="utf-8") as fh:
                 fh.write(profiler.to_chrome_json())
-        if args.print_stats:
-            print(
-                STATS.render_text(STATS.delta_since(stats_before)),
-                file=sys.stderr,
-            )
-        if args.stats_json:
-            _write_stats_json(args.stats_json, stats_before)
-        if args.print_cache_stats:
-            delta = {
-                key: value
-                for key, value in STATS.delta_since(
-                    stats_before
-                ).items()
-                if key.startswith("cache.")
-            }
-            print(STATS.render_text(delta), file=sys.stderr)
-            if cache is not None:
-                print(cache.describe(), file=sys.stderr)
+        _print_stats(
+            args, stat_rows(STATS.delta_since(stats_before)), cache
+        )
     return code
+
+
+def _print_stats(args, rows: dict, cache=None) -> None:
+    """The ``-print-stats`` / ``--stats-json`` / ``-print-cache-stats``
+    reports of *rows* (:func:`~repro.instrument.stats.stat_rows`);
+    the JSON keys are sorted and ``--stats-json=-`` means stdout.
+    Shared with ``miniclang-serve``."""
+    if args.print_stats:
+        print(render_stats_text(rows), file=sys.stderr)
+    if args.stats_json:
+        import json
+
+        payload = json.dumps(
+            {name: value for name, (value, _) in rows.items()},
+            indent=1,
+            sort_keys=True,
+        )
+        if args.stats_json == "-":
+            print(payload)
+        else:
+            with open(args.stats_json, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+    if args.print_cache_stats:
+        cache_rows = {
+            name: row
+            for name, row in rows.items()
+            if name.startswith("cache.")
+        }
+        print(render_stats_text(cache_rows), file=sys.stderr)
+        if cache is not None:
+            print(cache.describe(), file=sys.stderr)
 
 
 def _drive(args, source: str, ci: CompilerInvocation, cache=None) -> int:

@@ -37,7 +37,12 @@ from repro.driver.exitcodes import (
     EXIT_USER_ERROR,
     worst_exit_code,
 )
-from repro.instrument.stats import STATS
+from repro.instrument.stats import (
+    STATS,
+    MetricsRegistry,
+    stat_rows,
+    stat_values,
+)
 from repro.service import (
     STATUS_CIRCUIT_OPEN,
     STATUS_DEGRADED,
@@ -564,49 +569,44 @@ def _run_server(
         if event_log is not None:
             event_log.close()
     metrics = router.merged_metrics()
-    requests_total = 0.0
-    responses_total = 0.0
-    req_metric = metrics.get("service_requests_total")
-    if req_metric is not None:
-        requests_total = req_metric.value
-    resp_metric = metrics.get("service_responses_total")
-    if resp_metric is not None:
-        responses_total = sum(
-            cell.value for _, cell in resp_metric.series()
-        )
+    stats = stat_values(metrics.snapshot())
     print(
         "miniclang-serve: drained: "
-        f"{int(requests_total)} request(s) admitted, "
-        f"{int(responses_total)} terminal response(s), "
+        f"{stats.get('service.requests', 0)} request(s) admitted, "
+        f"{stats.get('service.responses', 0)} terminal response(s), "
         "state snapshotted; exiting 0",
         file=sys.stderr,
     )
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(metrics.snapshot(), fh, indent=1)
-            fh.write("\n")
-    if args.metrics_prom:
-        with open(args.metrics_prom, "w", encoding="utf-8") as fh:
-            fh.write(metrics.render_prometheus())
-    if args.print_stats:
-        print(
-            STATS.render_text(STATS.delta_since(stats_before)),
-            file=sys.stderr,
-        )
-    if args.stats_json:
-        from repro.driver.cli import _write_stats_json
-
-        _write_stats_json(args.stats_json, stats_before)
+    _write_reports(args, metrics, stats_before)
     # A graceful drain is a successful shutdown (systemd's clean-stop
     # contract) — the accounting line above is the audit trail.
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
-    from repro.driver.cli import (
-        _extract_cache_flags,
-        _write_stats_json,
+def _write_reports(
+    args, metrics: MetricsRegistry, stats_before: dict, cache=None
+) -> None:
+    """``--metrics-json`` / ``--metrics-prom`` from the service registry
+    *metrics*, then the statistics reports: the registry's own
+    statistics (``service.requests``, ...) next to the process-wide
+    STATS delta since *stats_before*."""
+    from repro.driver.cli import _print_stats
+
+    snapshot = metrics.snapshot()
+    if args.metrics_json:
+        with open(args.metrics_json, "w", encoding="utf-8") as fh:
+            json.dump(snapshot, fh, indent=1)
+            fh.write("\n")
+    if args.metrics_prom:
+        with open(args.metrics_prom, "w", encoding="utf-8") as fh:
+            fh.write(metrics.render_prometheus())
+    _print_stats(
+        args, stat_rows(STATS.delta_since(stats_before), snapshot), cache
     )
+
+
+def main(argv: list[str] | None = None) -> int:
+    from repro.driver.cli import _extract_cache_flags
     from repro.instrument.telemetry import EventLog
 
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -734,29 +734,7 @@ def main(argv: list[str] | None = None) -> int:
             f"trace(s) to {trace_dir}",
             file=sys.stderr,
         )
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(metrics.snapshot(), fh, indent=1)
-            fh.write("\n")
-    if args.metrics_prom:
-        with open(args.metrics_prom, "w", encoding="utf-8") as fh:
-            fh.write(metrics.render_prometheus())
-    if args.print_stats:
-        print(
-            STATS.render_text(STATS.delta_since(stats_before)),
-            file=sys.stderr,
-        )
-    if args.stats_json:
-        _write_stats_json(args.stats_json, stats_before)
-    if args.print_cache_stats:
-        delta = {
-            key: value
-            for key, value in STATS.delta_since(stats_before).items()
-            if key.startswith("cache.")
-        }
-        print(STATS.render_text(delta), file=sys.stderr)
-        if service_cache is not None:
-            print(service_cache.describe(), file=sys.stderr)
+    _write_reports(args, metrics, stats_before, service_cache)
     return code
 
 

@@ -5,6 +5,7 @@ Pillar             Clang/LLVM counterpart                 Module
 =================  =====================================  ==============
 time-trace         ``-ftime-trace`` (TimeProfiler)        ``timetrace``
 statistics         ``-stats`` (``STATISTIC`` macro)       ``stats``
+                   and service metrics (one registry)
 remarks            ``-Rpass{,-missed,-analysis}=``        ``remarks``
 execution profile  profiling runtimes / ``perf`` views    ``profile``
 =================  =====================================  ==============
@@ -41,8 +42,16 @@ from repro.instrument.profile import (
     ThreadProfile,
 )
 from repro.instrument.remarks import Remark, RemarkEmitter, RemarkKind
-from repro.instrument.stats import STATS, Statistic, StatsRegistry, get_statistic
+from repro.instrument.stats import (
+    STATS,
+    MetricsRegistry,
+    get_statistic,
+    render_stats_text,
+    stat_rows,
+    stat_values,
+)
 from repro.instrument.timetrace import (
+    SpanRecord,
     TimeTraceProfiler,
     TimeTraceScope,
     active_time_trace,
@@ -76,9 +85,12 @@ __all__ = [
     "RemarkEmitter",
     "RemarkKind",
     "STATS",
-    "Statistic",
-    "StatsRegistry",
+    "MetricsRegistry",
     "get_statistic",
+    "render_stats_text",
+    "stat_rows",
+    "stat_values",
+    "SpanRecord",
     "TimeTraceProfiler",
     "TimeTraceScope",
     "active_time_trace",

@@ -1,6 +1,6 @@
-"""End-to-end service telemetry: the three layers the compile service
-exports, modelled on the production observability stack around clang
-tooling:
+"""Request-level telemetry the compile service exports on top of the
+compiler's own instruments, modelled on the production observability
+stack around clang tooling:
 
 ==================  =====================================  ============
 Layer               Real-world counterpart                 Module
@@ -9,53 +9,34 @@ request tracing     OpenTelemetry span/context
                     propagation; clang ``-ftime-trace``
                     per-invocation JSON; clangd request
                     tracing                                ``tracing``
-metrics registry    Prometheus client library
-                    (counters/gauges/histograms, text
-                    exposition, fixed-bucket quantiles)    ``metrics``
 structured events   JSONL access/lifecycle logs keyed by
                     trace id                               ``events``
 ==================  =====================================  ============
 
-The package is pure stdlib and import-cheap; the service only pays for
-a layer when its flag (``-ftrace-requests``, ``--metrics-json``,
-``--log-jsonl``) or config field turns it on — except the metrics
-registry, which is always live (bucket increments are too cheap to
-gate, the same stance as :mod:`repro.instrument.stats`).
+Counters, gauges and histograms (bounded-relative-error quantiles from
+one fixed log-linear bucket layout) live in the one registry type,
+:class:`repro.instrument.stats.MetricsRegistry`; spans are
+:class:`repro.instrument.timetrace.SpanRecord`.  Both sit on the plain
+CLI's import path, this package does not: only the service loads it,
+and only pays for a layer when its flag (``-ftrace-requests``,
+``--log-jsonl``) or config field turns it on.
 """
 
 from repro.instrument.telemetry.events import EventLog, read_jsonl
-from repro.instrument.telemetry.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.instrument.telemetry.tracing import (
     RequestTrace,
-    SpanRecord,
     TraceRecorder,
     clock_anchor,
     clock_offset_ns,
-    events_to_spans,
-    new_span_id,
     new_trace_id,
 )
 
 __all__ = [
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
     "EventLog",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "RequestTrace",
-    "SpanRecord",
     "TraceRecorder",
     "clock_anchor",
     "clock_offset_ns",
-    "events_to_spans",
-    "new_span_id",
     "new_trace_id",
     "read_jsonl",
 ]

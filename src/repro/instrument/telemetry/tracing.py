@@ -10,9 +10,9 @@ rendering target; clangd's request tracing is the shape):
 * the ``trace_id`` + parent span id travel to the worker inside the
   :class:`~repro.service.request.WorkPayload`; the worker runs its
   pipeline under a :class:`~repro.instrument.timetrace.TimeTraceProfiler`
-  session and ships the completed scope events back as plain span dicts
-  (:func:`events_to_spans`), together with a wall/monotonic clock anchor
-  pair;
+  session whose top-level scopes are parented on that span, and ships
+  the recorded :class:`~repro.instrument.timetrace.SpanRecord` dicts
+  back with a wall/monotonic clock anchor pair;
 * the parent aligns worker timestamps onto its own monotonic timeline
   (:func:`clock_offset_ns` — both processes share the machine's wall
   clock, so the offset between their ``perf_counter_ns`` origins is
@@ -22,15 +22,14 @@ rendering target; clangd's request tracing is the shape):
   admission → queue → attempts → worker pipeline stages across
   processes.
 
-Span nesting inside one process is reconstructed from interval
-containment (:func:`events_to_spans`): scoped ``with`` instrumentation
-guarantees proper nesting, so a stack pass over start-sorted events
-recovers the tree exactly.
+Spans carry their parent ids from the moment they open, so nesting is
+never reconstructed from timestamps.  Parent and worker spans render
+through the one Chrome-JSON renderer,
+:func:`~repro.instrument.timetrace.chrome_trace_events`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import time
@@ -38,18 +37,16 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-_span_counter = itertools.count(1)
+from repro.instrument.timetrace import (
+    SpanRecord,
+    chrome_trace_events,
+    new_span_id,
+)
 
 
 def new_trace_id() -> str:
     """A fresh 128-bit-ish trace id (hex, 16 chars is plenty here)."""
     return uuid.uuid4().hex[:16]
-
-
-def new_span_id() -> str:
-    """Process-unique span id: ``<pid hex>.<counter hex>`` — unique
-    across the parent/worker fleet without coordination."""
-    return f"{os.getpid():x}.{next(_span_counter):x}"
 
 
 def clock_anchor() -> tuple[int, int]:
@@ -67,83 +64,6 @@ def clock_offset_ns(
     remote_wall, remote_perf = remote_anchor
     local_wall, local_perf = local_anchor
     return (remote_wall - remote_perf) - (local_wall - local_perf)
-
-
-@dataclass
-class SpanRecord:
-    """One completed span.  ``start_ns``/``end_ns`` are monotonic
-    timestamps on the *recording* process's clock until alignment."""
-
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str]
-    name: str
-    detail: str
-    start_ns: int
-    end_ns: int
-    pid: int
-    tid: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "detail": self.detail,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-            "pid": self.pid,
-            "tid": self.tid,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpanRecord":
-        return cls(**data)
-
-
-def events_to_spans(
-    events: Iterable,
-    trace_id: str,
-    parent_span_id: Optional[str],
-    pid: Optional[int] = None,
-) -> list[SpanRecord]:
-    """Convert :class:`~repro.instrument.timetrace.TraceEvent` records
-    (scoped, hence properly nested) into a parented span forest.
-
-    Events are sorted by ``(start, -duration)`` so enclosing scopes come
-    first; a containment stack then assigns each event the innermost
-    still-open scope as parent.  Top-level events get *parent_span_id*
-    (the service-side attempt span), which stitches the worker tree into
-    the request trace.
-    """
-    pid = os.getpid() if pid is None else pid
-    spans: list[SpanRecord] = []
-    stack: list[tuple[int, str]] = []  # (end_ns, span_id)
-    ordered = sorted(
-        events, key=lambda e: (e.start_ns, -e.duration_ns)
-    )
-    for ev in ordered:
-        end_ns = ev.start_ns + ev.duration_ns
-        while stack and end_ns > stack[-1][0]:
-            stack.pop()
-        parent = stack[-1][1] if stack else parent_span_id
-        span_id = new_span_id()
-        spans.append(
-            SpanRecord(
-                trace_id=trace_id,
-                span_id=span_id,
-                parent_id=parent,
-                name=ev.name,
-                detail=ev.detail,
-                start_ns=ev.start_ns,
-                end_ns=end_ns,
-                pid=pid,
-                tid=getattr(ev, "tid", 0),
-            )
-        )
-        stack.append((end_ns, span_id))
-    return spans
 
 
 class RequestTrace:
@@ -251,46 +171,18 @@ class RequestTrace:
         what the integration tests verify parentage with)."""
         if not self.spans:
             return {"traceEvents": [], "trace_id": self.trace_id}
-        origin = min(s.start_ns for s in self.spans)
-        events: list[dict] = []
-        pids = []
-        for span in sorted(
-            self.spans, key=lambda s: (s.start_ns, -(s.end_ns - s.start_ns))
-        ):
-            if span.pid not in pids:
-                pids.append(span.pid)
-            entry = {
-                "ph": "X",
-                "pid": span.pid,
-                "tid": span.tid,
-                "ts": (span.start_ns - origin) / 1000.0,
-                "dur": (span.end_ns - span.start_ns) / 1000.0,
-                "name": span.name,
-                "args": {
-                    "span_id": span.span_id,
-                    "parent_id": span.parent_id,
-                },
-            }
-            if span.detail:
-                entry["args"]["detail"] = span.detail
-            events.append(entry)
-        for pid in pids:
-            role = (
+        roles = {
+            pid: (
                 "miniclang-serve (parent)"
                 if pid == self._pid
                 else f"miniclang-worker (pid {pid})"
             )
-            events.append(
-                {
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "name": "process_name",
-                    "args": {"name": role},
-                }
-            )
+            for pid in sorted({s.pid for s in self.spans})
+        }
         return {
-            "traceEvents": events,
+            "traceEvents": chrome_trace_events(
+                self.spans, min(s.start_ns for s in self.spans), roles
+            ),
             "trace_id": self.trace_id,
             "request_id": self.request_id,
         }

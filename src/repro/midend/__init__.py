@@ -20,7 +20,7 @@ from repro.midend.pass_manager import (
     PassManager,
     default_pass_pipeline,
 )
-from repro.midend.loop_unroll import LoopUnrollPass, UnrollStats
+from repro.midend.loop_unroll import LoopUnrollPass
 from repro.midend.mem2reg import Mem2RegPass
 from repro.midend.simplify_cfg import SimplifyCFGPass
 from repro.midend.constant_fold import ConstantFoldPass
@@ -37,7 +37,6 @@ __all__ = [
     "Mem2RegPass",
     "PassManager",
     "SimplifyCFGPass",
-    "UnrollStats",
     "default_pass_pipeline",
     "postorder",
     "reverse_postorder",

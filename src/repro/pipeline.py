@@ -47,6 +47,7 @@ from repro.instrument import (
     PassExecution,
     PassInstrumentation,
     RemarkEmitter,
+    stat_values,
     time_trace_scope,
 )
 from repro.interp import Interpreter, MemoryError_
@@ -82,8 +83,8 @@ class CompileResult:
     translation_unit: TranslationUnitDecl
     sema: Sema
     module: Optional[Module] = None
-    #: statistics deltas attributable to this compilation (counter name
-    #: -> increment observed while compiling), see repro.instrument.stats
+    #: statistics attributable to this compilation (stat name ->
+    #: increment), read from the STATS registry delta
     stats: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -304,7 +305,7 @@ def compile_source(
                 ),
             ).emit_translation_unit(result.translation_unit)
         if result.diagnostics.has_errors():
-            result.stats = STATS.delta_since(before)
+            result.stats = stat_values(STATS.delta_since(before))
             if strict:
                 raise CompilationError(
                     result.diagnostics_text(),
@@ -322,7 +323,7 @@ def compile_source(
                     result.diagnostics.remarks,
                     instrument,
                 )
-        result.stats = STATS.delta_since(before)
+        result.stats = stat_values(STATS.delta_since(before))
     return result if memo is None else memo.record_final(result)
 
 
@@ -412,7 +413,6 @@ class RequestOutcome:
     exit_code: Optional[int] = None
     diagnostics: str = ""
     detail: str = ""
-    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -443,39 +443,32 @@ def execute_request(
     from repro.interp.interpreter import InterpreterError, Trap
     from repro.runtime.team import TeamError
 
-    before = STATS.snapshot()
-
-    def finish(kind: str, **kwargs) -> RequestOutcome:
-        return RequestOutcome(
-            kind, stats=STATS.delta_since(before), **kwargs
-        )
-
     try:
         if action == "run":
             rr = run_source(source, ci)
             code = rr.exit_code if isinstance(rr.exit_code, int) else 0
-            return finish("ok", output=rr.stdout, exit_code=code)
+            return RequestOutcome("ok", output=rr.stdout, exit_code=code)
         result = compile_source(source, ci, cache=cache)
         ir = result.ir_text if cache is not None else result.ir_text()
-        return finish("ok", output=ir, exit_code=0)
+        return RequestOutcome("ok", output=ir, exit_code=0)
     except CompilationError as exc:
         kind = "ice" if exc.ice else "compile-error"
-        return finish(kind, diagnostics=exc.diagnostics_text)
+        return RequestOutcome(kind, diagnostics=exc.diagnostics_text)
     except InternalCompilerError as exc:
-        return finish("ice", detail=exc.render())
+        return RequestOutcome("ice", detail=exc.render())
     except InjectedFault as exc:
         # A service-level fault site fired outside any recovery scope.
-        return finish("ice", detail=str(exc))
+        return RequestOutcome("ice", detail=str(exc))
     except Exception as exc:
         from repro.interp import ExecutionTimeout
 
         if isinstance(exc, ExecutionTimeout):
-            return finish("timeout", detail=str(exc))
+            return RequestOutcome("timeout", detail=str(exc))
         if isinstance(
             exc, (Trap, InterpreterError, MemoryError_, TeamError)
         ):
-            return finish("guest-error", detail=str(exc))
-        return finish(
+            return RequestOutcome("guest-error", detail=str(exc))
+        return RequestOutcome(
             "ice", detail=f"{type(exc).__name__}: {exc}"
         )
 

@@ -35,8 +35,7 @@ import threading
 from collections import deque
 from typing import Callable, Optional, Sequence
 
-from repro.instrument.stats import get_statistic
-from repro.instrument.telemetry import MetricsRegistry
+from repro.instrument.stats import MetricsRegistry, get_statistic
 from repro.service.request import (
     STATUS_ICE,
     CompileRequest,

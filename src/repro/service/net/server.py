@@ -35,8 +35,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.instrument.stats import get_statistic
-from repro.instrument.telemetry import MetricsRegistry
+from repro.instrument.stats import MetricsRegistry, get_statistic
 from repro.service.net.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameDecoder,

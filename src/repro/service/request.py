@@ -158,8 +158,6 @@ class CompileResponse:
     cache_hit: bool = False
     #: fanned out from a coalesced single-flight leader's execution
     coalesced: bool = False
-    #: compile-stat deltas shipped back from the winning worker
-    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -234,14 +232,13 @@ class WorkOutcome:
     exit_code: Optional[int] = None
     diagnostics: str = ""
     detail: str = ""
-    stats: dict[str, int] = field(default_factory=dict)
     duration_s: float = 0.0
-    #: completed pipeline spans (plain dicts, see
-    #: :func:`repro.instrument.telemetry.events_to_spans`); empty when
-    #: the attempt was not traced
+    #: completed pipeline spans (``SpanRecord.to_dict`` form); empty
+    #: when the attempt was not traced
     spans: list[dict] = field(default_factory=list)
-    #: the worker's metrics snapshot for this attempt, merged exactly
-    #: into the parent registry (fixed-bucket histograms)
+    #: this attempt's registry snapshot (the worker's compiler
+    #: statistics delta plus attempt metrics), merged exactly into the
+    #: service registry
     metrics: dict = field(default_factory=dict)
     #: worker OS pid plus its (wall_ns, perf_ns) clock anchor — what
     #: the parent needs to align span timestamps onto its own timeline

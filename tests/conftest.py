@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.instrument.stats import STATS, stat_values
 from repro.pipeline import CompileResult, RunResult, compile_source, run_source
 
 
@@ -85,3 +86,21 @@ def diag_engine():
     from repro.diagnostics import DiagnosticsEngine
 
     return DiagnosticsEngine()
+
+
+def unroll_counts(before: dict) -> dict[str, int]:
+    """Loop-unroll work since the ``STATS`` snapshot *before*: loops
+    unrolled per strategy ("full", "partial" — each leaving one
+    remainder loop — and "conditional"), their "total", and the
+    annotated loops "skipped"."""
+    delta = STATS.delta_since(before)
+    counts = {"full": 0, "partial": 0, "conditional": 0}
+    for row in delta.get("loop-unroll.loops-unrolled", {"series": []})[
+        "series"
+    ]:
+        counts[row["labels"]["strategy"]] = row["value"]
+    counts["total"] = sum(counts.values())
+    counts["skipped"] = stat_values(delta).get(
+        "loop-unroll.loops-skipped", 0
+    )
+    return counts

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.instrument.stats import STATS
+from repro.instrument.stats import STATS, stat_values
 from repro.service import (
     STATUS_CIRCUIT_OPEN,
     STATUS_RESOURCE_EXHAUSTED,
@@ -128,7 +128,7 @@ int main() {{
             assert response is not None
             assert response.status == STATUS_RESOURCE_EXHAUSTED
             assert "draining" in response.detail
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("service.drain-rejected", 0) == 1
 
     def test_drain_deadline_sheds_inflight(self):
@@ -204,7 +204,7 @@ class TestStateAcrossRestart:
             assert resubmit.status == STATUS_CIRCUIT_OPEN
             # Rejected at admission: no worker attempt was re-burned.
             assert resubmit.attempts == 0
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("service.quarantine-restored", 0) == 1
         assert delta.get("service.state-restores", 0) == 1
 
@@ -242,7 +242,7 @@ class TestWorkerLifecycle:
             )
         assert len(responses) == 6
         assert all(r.ok for r in responses)
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("service.worker-recycled", 0) >= 1
 
     def test_heartbeat_replaces_dead_idle_worker(self):
@@ -265,7 +265,7 @@ class TestWorkerLifecycle:
             assert service.pool.workers[0].proc.is_alive()
             [second] = service.process_batch([_request(1)])
             assert second.ok
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("service.worker-heartbeat-restarts", 0) == 1
 
 

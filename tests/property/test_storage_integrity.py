@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.disk import DiskTier
 from repro.cache.integrity import IntegrityError, seal, unseal
-from repro.instrument.stats import STATS
+from repro.instrument.stats import STATS, stat_values
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -63,7 +63,7 @@ def test_single_byte_flip_heals(tmp_path_factory, offset, flip):
 
     _mangle(path, mutate)
     got = tier.get(KEY)
-    delta = STATS.delta_since(before)
+    delta = stat_values(STATS.delta_since(before))
     if got is None:
         # Detected: the poisoned entry must be gone and counted.
         assert not os.path.exists(path)
@@ -83,7 +83,7 @@ def test_truncation_heals(tmp_path_factory, cut):
     before = STATS.snapshot()
     _mangle(path, lambda data: data[: cut % len(data)])
     got = tier.get(KEY)
-    delta = STATS.delta_since(before)
+    delta = stat_values(STATS.delta_since(before))
     assert got is None
     assert not os.path.exists(path)
     assert delta.get("cache.corrupt-entries", 0) == 1

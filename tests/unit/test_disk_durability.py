@@ -20,7 +20,7 @@ from repro.cache.integrity import (
     unseal,
 )
 from repro.instrument.faultinject import FAULTS
-from repro.instrument.stats import STATS
+from repro.instrument.stats import STATS, stat_values
 
 KEY = "artifact:" + "cd" * 32
 PAYLOAD = {"ir": "ret i32 7", "stage": "codegen"}
@@ -80,7 +80,7 @@ class TestSelfHealing:
         before = STATS.snapshot()
         assert tier.get(KEY) is None
         assert not os.path.exists(path)
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("cache.corrupt-entries", 0) == 1
 
     def test_corrupt_alias_detected(self, tmp_path):
@@ -114,7 +114,7 @@ class TestDegradation:
             OSError(errno.ENOSPC, "disk full"), "p"
         )
         assert tier.write_disabled
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("cache.disk-disabled", 0) == 1
         assert delta.get("cache.disk-enospc", 0) == 1
         # Reads still work while writes are off.
@@ -131,7 +131,7 @@ class TestDegradation:
         before = STATS.snapshot()
         tier._note_write_error(OSError(errno.EIO, "blip"), "p")
         assert not tier.write_disabled
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("cache.disk-write-errors", 0) == 1
 
     def test_reprobe_reenables_after_interval(self, tmp_path):
@@ -145,7 +145,7 @@ class TestDegradation:
         assert tier.put(KEY, PAYLOAD) > 0  # the probe succeeds
         assert not tier.write_disabled
         assert tier.get(KEY) == PAYLOAD
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("cache.disk-reenabled", 0) == 1
 
     def test_diagnostic_reported_once_per_class(self, tmp_path):
@@ -170,7 +170,7 @@ class TestInjectedFaults:
         FAULTS.disarm_all()
         before = STATS.snapshot()
         assert tier.get(KEY) is None  # torn half never served
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("cache.corrupt-entries", 0) == 1
 
     def test_enospc_fault_degrades(self, tmp_path):
@@ -195,7 +195,7 @@ class TestInjectedFaults:
         before = STATS.snapshot()
         assert tier.get(KEY) is None
         FAULTS.disarm_all()
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("cache.corrupt-entries", 0) == 1
 
     def test_fsync_fault_durable_counts_write_error(self, tmp_path):
@@ -204,7 +204,7 @@ class TestInjectedFaults:
         before = STATS.snapshot()
         assert tier.put(KEY, PAYLOAD) == 0
         FAULTS.disarm_all()
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("cache.disk-write-errors", 0) == 1
         assert not tier.write_disabled  # EIO is transient
 

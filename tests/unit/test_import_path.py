@@ -1,8 +1,8 @@
 """The plain ``miniclang`` compile path imports only the compiler.
 
 One-shot CLI latency is mostly import time, so the driver must not pull
-in the cache, the compile service, the mid-end or the execution
-engines until a flag asks for them.
+in the cache, the compile service, the mid-end, the execution engines or
+the service's request telemetry until a flag asks for them.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ OPTIONAL_PACKAGES = (
     "repro.service",
     "repro.midend",
     "repro.exec",
+    "repro.instrument.telemetry",
 )
 
 

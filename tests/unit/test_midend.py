@@ -15,6 +15,7 @@ from repro.ir import (
     void_t,
 )
 from repro.ir.instructions import BinOp, ICmpPred
+from repro.instrument.stats import STATS
 from repro.interp import Interpreter
 from repro.midend import (
     ConstantFoldPass,
@@ -26,6 +27,7 @@ from repro.midend import (
     default_pass_pipeline,
 )
 from repro.midend.cfg import postorder, reverse_postorder
+from tests.conftest import unroll_counts
 
 
 def diamond_function():
@@ -179,9 +181,10 @@ class TestLoopUnrollFull:
         mod, fn, latch_br = memory_loop_function(6)
         latch_br.metadata["llvm.loop"] = loop_metadata(unroll_full=True)
         pass_ = LoopUnrollPass()
+        before = STATS.snapshot()
         assert pass_.run_on_function(fn)
         verify_module(mod)
-        assert pass_.stats.fully_unrolled == 1
+        assert unroll_counts(before)["full"] == 1
         # No loop remains.
         from repro.midend import LoopInfo as LI
 
@@ -199,9 +202,10 @@ class TestLoopUnrollFull:
         mod, fn, latch_br = memory_loop_function(None)
         latch_br.metadata["llvm.loop"] = loop_metadata(unroll_full=True)
         pass_ = LoopUnrollPass()
+        before = STATS.snapshot()
         pass_.run_on_function(fn)
         verify_module(mod)
-        assert pass_.stats.fully_unrolled == 0
+        assert unroll_counts(before)["full"] == 0
         assert run_counting_body(mod, 5) == [0, 1, 2, 3, 4]
 
 
@@ -211,10 +215,11 @@ class TestLoopUnrollPartialRemainder:
         mod, fn, latch_br = memory_loop_function(None)
         latch_br.metadata["llvm.loop"] = loop_metadata(unroll_count=4)
         pass_ = LoopUnrollPass()
+        before = STATS.snapshot()
         assert pass_.run_on_function(fn)
         verify_module(mod)
-        assert pass_.stats.partially_unrolled == 1
-        assert pass_.stats.remainder_loops_created == 1
+        # partial unrolling always leaves exactly one remainder loop
+        assert unroll_counts(before)["partial"] == 1
         # Two loops now: the unrolled main loop and the remainder.
         loops = LoopInfo(fn).loops
         assert len(loops) == 2
@@ -265,9 +270,10 @@ class TestLoopUnrollPartialRemainder:
             unroll_disable=True
         )
         pass_ = LoopUnrollPass()
+        before = STATS.snapshot()
         changed = pass_.run_on_function(fn)
         assert not changed
-        assert pass_.stats.skipped == 1
+        assert unroll_counts(before)["skipped"] == 1
 
 
 class TestLoopUnrollHeuristic:
@@ -277,8 +283,9 @@ class TestLoopUnrollHeuristic:
             unroll_enable=True
         )
         pass_ = LoopUnrollPass()
+        before = STATS.snapshot()
         pass_.run_on_function(fn)
-        assert pass_.stats.fully_unrolled == 1
+        assert unroll_counts(before)["full"] == 1
 
     def test_runtime_trip_partial(self):
         mod, fn, latch_br = memory_loop_function(None)
@@ -286,8 +293,9 @@ class TestLoopUnrollHeuristic:
             unroll_enable=True
         )
         pass_ = LoopUnrollPass()
+        before = STATS.snapshot()
         pass_.run_on_function(fn)
-        assert pass_.stats.partially_unrolled == 1
+        assert unroll_counts(before)["partial"] == 1
         assert run_counting_body(mod, 13) == list(range(13))
 
 

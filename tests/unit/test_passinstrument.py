@@ -12,6 +12,7 @@ from repro.instrument import (
     DebugCounter,
     PassInstrumentation,
     STATS,
+    stat_values,
     get_debug_counter,
     unified_diff,
 )
@@ -219,7 +220,7 @@ class TestPassInstrumentation:
             opt_bisect_limit=0, stream=io.StringIO()
         )
         optimize(PLAIN_SRC, instrument)
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("pass-instrument.executions-skipped") == 5
 
     def test_snapshot_and_diff_stats(self):
@@ -228,7 +229,7 @@ class TestPassInstrumentation:
             print_changed=True, stream=io.StringIO()
         )
         optimize(PLAIN_SRC, instrument)
-        delta = STATS.delta_since(before)
+        delta = stat_values(STATS.delta_since(before))
         assert delta.get("pass-instrument.ir-snapshots-taken", 0) == 5
         assert delta.get("pass-instrument.diffs-emitted", 0) >= 1
 

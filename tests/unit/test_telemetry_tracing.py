@@ -14,18 +14,10 @@ from repro.instrument.telemetry import (
     TraceRecorder,
     clock_anchor,
     clock_offset_ns,
-    events_to_spans,
-    new_span_id,
     new_trace_id,
     read_jsonl,
 )
-from repro.instrument.timetrace import TraceEvent
-
-
-def _event(name, start, dur, detail=""):
-    return TraceEvent(
-        name=name, detail=detail, start_ns=start, duration_ns=dur
-    )
+from repro.instrument.timetrace import TimeTraceProfiler, new_span_id
 
 
 class TestIds:
@@ -55,32 +47,39 @@ class TestClockAlignment:
         assert abs(clock_offset_ns(a, b)) < 1_000_000
 
 
-class TestEventsToSpans:
-    def test_nesting_reconstructed_by_containment(self):
-        events = [
-            _event("child", 10, 20),
-            _event("parent", 0, 100),
-            _event("grandchild", 12, 5),
-            _event("sibling", 50, 10),
-        ]
-        spans = events_to_spans(events, "t1", "root")
-        by_name = {s.name: s for s in spans}
+class TestProfilerSpans:
+    """The profiler parents each span on the scope open at its start."""
+
+    def test_parents_come_from_the_open_scope_stack(self):
+        profiler = TimeTraceProfiler(trace_id="t1", parent_id="root")
+        with profiler.scope("parent"):
+            with profiler.scope("child"):
+                with profiler.scope("grandchild"):
+                    pass
+            with profiler.scope("sibling"):
+                pass
+        by_name = {s.name: s for s in profiler.spans}
         assert by_name["parent"].parent_id == "root"
         assert by_name["child"].parent_id == by_name["parent"].span_id
         assert (
             by_name["grandchild"].parent_id == by_name["child"].span_id
         )
         assert by_name["sibling"].parent_id == by_name["parent"].span_id
+        assert {s.trace_id for s in profiler.spans} == {"t1"}
 
     def test_top_level_parent_may_be_none(self):
-        spans = events_to_spans([_event("a", 0, 1)], "t1", None)
-        assert spans[0].parent_id is None
+        profiler = TimeTraceProfiler()
+        with profiler.scope("a"):
+            pass
+        assert profiler.spans[0].parent_id is None
 
-    def test_equal_start_longer_span_wins_parenthood(self):
-        events = [_event("inner", 0, 5), _event("outer", 0, 50)]
-        spans = events_to_spans(events, "t1", None)
-        by_name = {s.name: s for s in spans}
-        assert by_name["inner"].parent_id == by_name["outer"].span_id
+    def test_add_span_parents_on_the_open_scope(self):
+        profiler = TimeTraceProfiler()
+        with profiler.scope("outer"):
+            profiler.add_span("measured", "", 5, 3)
+        measured, outer = profiler.spans
+        assert measured.parent_id == outer.span_id
+        assert measured.end_ns == measured.start_ns == 5
 
 
 class TestRequestTrace:
