@@ -40,6 +40,7 @@ from repro.driver.exitcodes import (
 from repro.instrument.stats import (
     STATS,
     MetricsRegistry,
+    get_statistic,
     stat_rows,
     stat_values,
 )
@@ -56,7 +57,15 @@ from repro.service import (
     CompileService,
     RetryPolicy,
     ServiceConfig,
+    accounting_violations,
     other_mode,
+)
+
+
+_INVARIANT_VIOLATIONS = get_statistic(
+    "service",
+    "invariant-violations",
+    "Accounting identities found broken after the drain",
 )
 
 
@@ -586,13 +595,25 @@ def _run_server(
 def _write_reports(
     args, metrics: MetricsRegistry, stats_before: dict, cache=None
 ) -> None:
-    """``--metrics-json`` / ``--metrics-prom`` from the service registry
-    *metrics*, then the statistics reports: the registry's own
-    statistics (``service.requests``, ...) next to the process-wide
-    STATS delta since *stats_before*."""
+    """Run after the drain.  First the accounting check over the
+    service registry *metrics* and the process-wide STATS delta since
+    *stats_before*: each broken identity is one ``accounting
+    violation`` line on stderr, counted in
+    ``service.invariant-violations``.  Then ``--metrics-json`` /
+    ``--metrics-prom`` from *metrics*, and the statistics reports: the
+    registry's own statistics (``service.requests``, ...) next to the
+    STATS delta."""
     from repro.driver.cli import _print_stats
 
     snapshot = metrics.snapshot()
+    for violation in accounting_violations(
+        STATS.delta_since(stats_before), snapshot
+    ):
+        _INVARIANT_VIOLATIONS.inc()
+        print(
+            f"miniclang-serve: accounting violation: {violation}",
+            file=sys.stderr,
+        )
     if args.metrics_json:
         with open(args.metrics_json, "w", encoding="utf-8") as fh:
             json.dump(snapshot, fh, indent=1)

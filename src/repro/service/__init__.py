@@ -41,6 +41,7 @@ from repro.service.service import (
     CompileService,
     PoisonInputError,
     ServiceConfig,
+    accounting_violations,
 )
 from repro.service.state import (
     ServiceState,
@@ -68,6 +69,7 @@ __all__ = [
     "STATUS_RESOURCE_EXHAUSTED",
     "STATUS_TIMEOUT",
     "TERMINAL_STATUSES",
+    "accounting_violations",
     "load_state",
     "other_mode",
     "save_state",

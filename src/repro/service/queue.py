@@ -34,8 +34,6 @@ class AdmissionQueue(Generic[T]):
         self.capacity = capacity
         self._items: deque[T] = deque()
         self._in_flight = 0
-        #: total offers rejected over capacity
-        self.shed_count = 0
         #: observer called as ``on_change(queued, in_flight)`` after
         #: every accepted mutation (telemetry gauges hook in here)
         self.on_change = on_change
@@ -53,7 +51,6 @@ class AdmissionQueue(Generic[T]):
     def offer(self, item: T) -> bool:
         """Admit *item*, or return False (shed) when over capacity."""
         if self.load >= self.capacity:
-            self.shed_count += 1
             return False
         self._items.append(item)
         self._notify()

@@ -1522,3 +1522,102 @@ class CompileService:
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
+
+
+# ----------------------------------------------------------------------
+# The accounting identity :meth:`CompileService._record_response` keeps
+# ----------------------------------------------------------------------
+#: gauges that read 0 once a service (every shard, for a router) drained
+_DRAINED_GAUGES = (
+    "service_queue_depth",
+    "service_in_flight",
+    "service_shard_queue_depth",
+    "service_shard_in_flight",
+)
+
+
+def _series(name: str, labels: dict) -> str:
+    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+    return f"{name}{{{inner}}}" if inner else name
+
+
+def _total(
+    snapshots: tuple, name: str, field: str = "value"
+) -> Optional[float]:
+    """Σ *field* over every series of *name* in every snapshot; None
+    when no snapshot carries *name* (its layer did not run)."""
+    entries = [s[name] for s in snapshots if name in s]
+    if not entries:
+        return None
+    return sum(row[field] for entry in entries for row in entry["series"])
+
+
+def accounting_violations(*snapshots: dict) -> list[str]:
+    """Every request-accounting identity that *snapshots* (registry
+    snapshots or deltas, read like
+    :func:`~repro.instrument.stats.stat_values`: series summed across
+    snapshots) break, one message each; ``[]`` when the books balance.
+
+    An identity is checked when its layer appears in the snapshots:
+
+    * ``service.requests`` == Σ ``service.responses{status}`` == Σ
+      ``service_request_duration_seconds`` counts;
+    * each histogram series' bucket counts sum to its count;
+    * ``router_requests_total`` == ``service.requests``;
+    * ``net.requests`` == ``net.responses-sent`` +
+      ``net.responses-orphaned`` == ``service.requests``;
+    * every queue-depth and in-flight gauge reads 0 (call after a
+      drain).  Merged gauges take the max, so one row covers every
+      shard.
+    """
+    out: list[str] = []
+    totals = {
+        "sum of service.responses": _total(snapshots, "service.responses"),
+        "service_request_duration_seconds count": _total(
+            snapshots, "service_request_duration_seconds", "count"
+        ),
+    }
+    requests = _total(snapshots, "service.requests")
+    service_layer = requests is not None or any(
+        value is not None for value in totals.values()
+    )
+    requests = requests or 0
+    for name, value in totals.items():
+        if service_layer and requests != (value or 0):
+            out.append(f"service.requests={requests} != {name}={value or 0}")
+    for snapshot in snapshots:
+        for name, entry in snapshot.items():
+            for row in entry["series"]:
+                series = _series(name, row["labels"])
+                if entry["type"] == "histogram":
+                    in_buckets = sum(n for _, n in row["buckets"])
+                    if in_buckets != row["count"]:
+                        out.append(
+                            f"{series}: buckets hold {in_buckets} != "
+                            f"count {row['count']}"
+                        )
+                elif name in _DRAINED_GAUGES and row["value"] != 0:
+                    out.append(
+                        f"{series}={row['value']} after drain, expected 0"
+                    )
+    routed = _total(snapshots, "router_requests_total")
+    if routed is not None and routed != requests:
+        out.append(
+            f"router_requests_total={routed} != service.requests={requests}"
+        )
+    wire = [
+        _total(snapshots, f"net.{name}")
+        for name in ("requests", "responses-sent", "responses-orphaned")
+    ]
+    if any(value is not None for value in wire):
+        admitted, sent, orphaned = (value or 0 for value in wire)
+        if admitted != sent + orphaned:
+            out.append(
+                f"net.requests={admitted} != net.responses-sent={sent} "
+                f"+ net.responses-orphaned={orphaned}"
+            )
+        if service_layer and admitted != requests:
+            out.append(
+                f"net.requests={admitted} != service.requests={requests}"
+            )
+    return out

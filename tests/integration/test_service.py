@@ -412,3 +412,28 @@ class TestMiniChaos:
             ]
         )
         assert code == 0
+
+    def test_hedged_hangs_are_not_counted_as_timeouts(self, tmp_path):
+        """Regression: with --hedge-delay a hung request is answered by
+        its hedge and the hung primary is cancelled as a straggler, so
+        it never times out.  The harness demanded one timeout per hang
+        and failed every hedged run."""
+        from repro.service.chaos import main as chaos_main
+
+        argv = "--count 6 --kill-every 0 --hang-every 7 --poison 0 "
+        argv += "--workers 2 --deadline 10 --hedge-delay 0.5"
+        q = ["--quarantine-dir", str(tmp_path / "q")]
+        assert chaos_main(argv.split() + q) == 0
+
+    def test_storage_campaign_smoke(self, tmp_path, capsys):
+        """The storage campaign end to end at its smallest size: torn
+        and corrupt cache entries never served, quarantine durable
+        across the restart, the books balanced over both instances."""
+        from repro.service.chaos import main as chaos_main
+
+        argv = "--storage --count 16 --poison 2 --workers 2 --deadline 10"
+        dirs = ["--cache-dir", str(tmp_path / "cache")]
+        dirs += ["--state-dir", str(tmp_path / "state")]
+        dirs += ["--quarantine-dir", str(tmp_path / "q")]
+        assert chaos_main(argv.split() + dirs) == 0
+        assert "storage-chaos: all invariants hold" in capsys.readouterr().out

@@ -17,6 +17,7 @@ from repro.service import (
     CompileService,
     RetryPolicy,
     ServiceConfig,
+    accounting_violations,
 )
 
 HELLO = """\
@@ -156,7 +157,8 @@ class TestMetricsAccounting:
         """A mixed batch — successes, compile errors, worker kills,
         poison inputs — must balance: every admitted request shows up
         in exactly one terminal-status counter and exactly once in the
-        latency histogram."""
+        latency histogram (the accounting check), and the counters
+        agree with the python-level statuses."""
         batch = []
         for i in range(12):
             if i % 4 == 1:
@@ -187,25 +189,49 @@ class TestMetricsAccounting:
             snap = svc.metrics.snapshot()
         assert all(r is not None and r.status for r in responses)
 
-        requests_in = snap["service.requests"]["series"][0]["value"]
+        assert accounting_violations(snap) == []
+        assert snap["service.requests"]["series"][0]["value"] == len(batch)
         terminal = {
             row["labels"]["status"]: row["value"]
             for row in snap["service.responses"]["series"]
         }
-        assert requests_in == len(batch)
-        assert sum(terminal.values()) == requests_in
-        observed = sum(
-            row["count"]
-            for row in snap["service_request_duration_seconds"][
-                "series"
-            ]
-        )
-        assert observed == requests_in
-        # and the python-level statuses agree with the counters
         got = {}
         for r in responses:
             got[r.status] = got.get(r.status, 0) + 1
         assert got == terminal
+
+    def test_serve_reports_violations_after_the_drain(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """miniclang-serve runs the accounting check once the batch has
+        drained: a balanced run prints nothing; each violation is one
+        stderr line, counted in service.invariant-violations, and the
+        exit code does not change."""
+        from repro.driver import serve
+
+        src = tmp_path / "hello.c"
+        src.write_text(HELLO)
+        stats_json = tmp_path / "stats.json"
+        argv = [
+            "--workers",
+            "1",
+            "--quarantine-dir=",
+            "--stats-json",
+            str(stats_json),
+            str(src),
+        ]
+        assert serve.main(argv) == 0
+        assert "accounting violation" not in capsys.readouterr().err
+        monkeypatch.setattr(
+            serve, "accounting_violations", lambda *snaps: ["fabricated"]
+        )
+        assert serve.main(argv) == 0
+        assert (
+            "miniclang-serve: accounting violation: fabricated\n"
+            in capsys.readouterr().err
+        )
+        stats = json.loads(stats_json.read_text())
+        assert stats["service.invariant-violations"] == 1
 
 
 class TestEventLogCorrelation:

@@ -36,8 +36,7 @@ def _report(p50: float, p99: float, samples: list[float], bench) -> dict:
     }
     return {
         "lost": 0,
-        "metrics_requests_in": len(samples),
-        "metrics_responses_out": len(samples),
+        "accounting_violations": [],
         "throughput_rps": 1.0,
         "latency_by_outcome": bench._latency_table(
             snapshot, "lat", {"shed": samples}

@@ -226,7 +226,7 @@ class TestAdmissionQueue:
         assert queue.offer("a")
         assert queue.offer("b")
         assert not queue.offer("c")  # shed
-        assert queue.shed_count == 1
+        assert queue.load == 2
         assert queue.pop() == "a"
         # popped work is in flight: still over capacity
         assert not queue.offer("c")
@@ -239,8 +239,9 @@ class TestAdmissionQueue:
         queue.offer("a")
         item = queue.pop()
         queue.requeue(item)
+        assert queue.load == 1  # requeue keeps the load: nothing shed
+        assert queue.offer("b") is False
         assert queue.pop() == "a"
-        assert queue.shed_count == 0
 
     def test_release_without_pop_raises(self):
         queue = AdmissionQueue(capacity=1)

@@ -22,9 +22,10 @@ Workload mixes (each runs on a fresh service + registry):
 ``--smoke`` runs the first two mixes with small batches (the CI mode);
 the default runs all four.  The report lands in ``BENCH_service.json``.
 Sanity gates (always enforced): every mix must achieve nonzero
-throughput, record a p99 for at least one latency outcome, and lose
-zero requests (submissions == terminal responses, both in the python
-objects and in the metrics registry).  Accuracy gate: for every
+throughput, record a p99 for at least one latency outcome, lose zero
+requests (submissions == terminal responses in the python objects),
+and pass the one accounting check over its registry
+(:func:`repro.service.accounting_violations`).  Accuracy gate: for every
 outcome, the registry's ``service_request_duration_seconds`` p50 and
 p99 must lie within 2% relative error of the exact order statistic of
 the same responses' ``duration_s``.
@@ -52,13 +53,15 @@ from typing import Optional
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.instrument.stats import STATS  # noqa: E402
 from repro.service import (  # noqa: E402
     CompileRequest,
     CompileService,
     RetryPolicy,
     ServiceConfig,
+    accounting_violations,
 )
-from repro.service.chaos import _make_source  # noqa: E402
+from repro.service.chaos import chaos_request  # noqa: E402
 from repro.testing.generator import generate_program  # noqa: E402
 
 
@@ -119,13 +122,12 @@ def _faulted_batch(args, round_index: int) -> list[CompileRequest]:
             faults = ("service-worker",)
             fault_attempts = -1  # poison: fails on every attempt
         batch.append(
-            CompileRequest(
-                source=_make_source(i + round_index * args.batch),
+            chaos_request(
+                i + round_index * args.batch,
                 filename=f"faulted-{round_index}.{i}.c",
-                action="run",
                 mode="irbuilder" if i % 2 else "shadow",
                 deadline_s=3.0,
-                inject_faults=faults,
+                faults=faults,
                 fault_attempts=fault_attempts,
             )
         )
@@ -241,6 +243,7 @@ def run_mix(name: str, args, scratch: str) -> dict:
     statuses: dict[str, int] = {}
     durations: dict[str, list[float]] = {}
     rounds = 0
+    stats_before = STATS.snapshot()
     started = time.perf_counter()
     with CompileService(config) as service:
         while rounds < args.rounds:
@@ -260,10 +263,6 @@ def run_mix(name: str, args, scratch: str) -> dict:
                 break
         wall_s = time.perf_counter() - started
         snapshot = service.metrics.snapshot()
-    requests_in = snapshot["service.requests"]["series"][0]["value"]
-    responses_out = sum(
-        row["value"] for row in snapshot["service.responses"]["series"]
-    )
     latency = _latency_table(
         snapshot, "service_request_duration_seconds", durations
     )
@@ -273,8 +272,9 @@ def run_mix(name: str, args, scratch: str) -> dict:
         "requests": submitted,
         "responses": answered,
         "lost": submitted - answered,
-        "metrics_requests_in": requests_in,
-        "metrics_responses_out": responses_out,
+        "accounting_violations": accounting_violations(
+            STATS.delta_since(stats_before), snapshot
+        ),
         "wall_s": round(wall_s, 4),
         "throughput_rps": round(submitted / max(wall_s, 1e-9), 2),
         "statuses": dict(sorted(statuses.items())),
@@ -384,6 +384,7 @@ def run_transport_mix(
     durations: list[float] = []
     statuses: dict[str, int] = {}
     duplicates = 0
+    stats_before = STATS.snapshot()
     lock = threading.Lock()
 
     def build_request(tag: int, rnd: int, k: int) -> CompileRequest:
@@ -460,10 +461,6 @@ def run_transport_mix(
         router.shutdown()
         merged = router.merged_metrics().snapshot()
 
-    requests_in = merged["service.requests"]["series"][0]["value"]
-    responses_out = sum(
-        row["value"] for row in merged["service.responses"]["series"]
-    )
     issued = args.clients * per_client * rounds
     return {
         "transport": transport,
@@ -474,8 +471,11 @@ def run_transport_mix(
         "throughput_rps": round(issued / max(wall_s, 1e-9), 2),
         "statuses": dict(sorted(statuses.items())),
         "duplicate_responses": duplicates,
-        "metrics_requests_in": requests_in,
-        "metrics_responses_out": responses_out,
+        # over TCP the wire ledger (net.*, process-wide) joins the
+        # merged shard ledgers
+        "accounting_violations": accounting_violations(
+            STATS.delta_since(stats_before), merged
+        ),
         "client_wall_latency": _exact_latency(durations),
     }
 
@@ -498,12 +498,8 @@ def _check_transport_mix(
             f"{label}: {report['duplicate_responses']} "
             "double-answered request(s)"
         )
-    if report["metrics_requests_in"] != report["metrics_responses_out"]:
-        problems.append(
-            f"{label}: merged ledger broken: "
-            f"{report['metrics_requests_in']} in vs "
-            f"{report['metrics_responses_out']} terminal"
-        )
+    for violation in report["accounting_violations"]:
+        problems.append(f"{label}: accounting: {violation}")
     if report["client_wall_latency"]["count"] == 0:
         problems.append(f"{label}: no latency samples")
     return problems
@@ -516,12 +512,8 @@ def _check_mix(name: str, report: dict) -> list[str]:
         problems.append(f"{name}: zero throughput")
     if report["lost"] != 0:
         problems.append(f"{name}: lost {report['lost']} request(s)")
-    if report["metrics_requests_in"] != report["metrics_responses_out"]:
-        problems.append(
-            f"{name}: metrics accounting broken: "
-            f"{report['metrics_requests_in']} in vs "
-            f"{report['metrics_responses_out']} terminal"
-        )
+    for violation in report["accounting_violations"]:
+        problems.append(f"{name}: accounting: {violation}")
     if not any(
         row["count"] > 0 and row["p99_s"] > 0
         for row in report["latency_by_outcome"].values()
