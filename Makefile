@@ -4,13 +4,18 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test conformance fuzz fuzz-smoke fuzz-cache fuzz-exec fuzz-service \
-	cache-bench exec-bench fault-sweep service-chaos storage-chaos \
-	net-chaos service-bench check-all
+.PHONY: test perfbench-tests conformance fuzz fuzz-smoke fuzz-cache \
+	fuzz-exec fuzz-service cache-bench exec-bench fault-sweep \
+	service-chaos storage-chaos net-chaos service-bench check-all
 
 # Tier-1: the unit/integration/property pytest suite.
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# The repo benchmark's helper tests and tiny smoke runs (not tier-1;
+# the benchmark itself is python3 perfbench/run.py).
+perfbench-tests:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q perfbench/tests
 
 # lit/FileCheck conformance suite (tests/conformance/**).
 conformance:
@@ -114,6 +119,6 @@ service-bench:
 	    $(BENCH_ARGS)
 
 # Everything CI runs, in one shot.
-check-all: test conformance fuzz-smoke fuzz-exec fuzz-service fault-sweep \
+check-all: test perfbench-tests conformance fuzz-smoke fuzz-exec fuzz-service fault-sweep \
 	service-chaos storage-chaos net-chaos cache-bench exec-bench \
 	service-bench

@@ -64,11 +64,6 @@ MODULE_REUSES = get_statistic(
     "module-reuses",
     "Mid-end runs fed from a memoized unoptimized module",
 )
-FUNCTION_HITS = get_statistic(
-    "cache",
-    "codegen-function-hits",
-    "Per-function codegen results found unchanged across compiles",
-)
 RESPONSE_HITS = get_statistic(
     "cache", "response-hits", "Service responses served from the cache"
 )
@@ -228,14 +223,6 @@ class CompilationCache:
 
     def put_module(self, key: str, module: Any) -> None:
         self.modules.put(f"module:{key}", module)
-
-    def has_function(self, key: str) -> bool:
-        return f"fn:{key}" in self.memory
-
-    def put_function(self, key: str, ir_text: str) -> None:
-        EVICTIONS.inc(
-            self.memory.put(f"fn:{key}", {"ir": ir_text}, len(ir_text))
-        )
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

@@ -106,7 +106,9 @@ _DISABLING_ERRNOS = {
 
 
 def _default_diagnostic(message: str) -> None:
-    print(f"miniclang: warning: {message}", file=sys.stderr)
+    # One write per line: concurrent workers share stderr, and print()
+    # issues the newline separately, which interleaves their warnings.
+    sys.stderr.write(f"miniclang: warning: {message}\n")
 
 
 class DiskTier:

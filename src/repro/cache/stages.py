@@ -12,7 +12,7 @@ resumes downstream of the first divergent input:
 3. **module** — only ``optimize`` diverged: the memoized unoptimized
    module (deep-copied) feeds the mid-end directly;
 4. **cold** — the full pipeline; every stage artifact is recorded on
-   the way out, including per-function codegen hashes.
+   the way out.
 
 Only successful compiles are cached.  Cached diagnostics (warnings)
 embed source locations, so they are only replayed against the
@@ -25,16 +25,10 @@ from __future__ import annotations
 import copy
 from typing import Optional
 
-from repro.astlib.dump import dump_ast
-from repro.cache.cache import (
-    FUNCTION_HITS,
-    STAGE_RESUMES,
-    CachedCompile,
-    CompilationCache,
-)
+from repro.cache.cache import STAGE_RESUMES, CachedCompile, CompilationCache
 from repro.cache.key import source_id, stage_key, token_stream_text
 from repro.invocation import CompilerInvocation
-from repro.ir.printer import print_function, print_module
+from repro.ir.printer import print_module
 
 #: the stages keyed before codegen output exists, in chain order
 _CHAINED_STAGES = ("preprocess", "frontend", "codegen")
@@ -158,28 +152,6 @@ class StageMemo:
         """After CodeGen and verification of a cold compile."""
         self._codegen = {"diagnostics": result.diagnostics_text()}
         self._codegen["ir"] = self._store("codegen", result.ir_text())
-        # Per-function codegen memo: keyed by the function body's AST
-        # dump, so an edit to one function registers every *other*
-        # function as a codegen-level hit.  (Splicing cached function
-        # text into a fresh module is unsound — module-level metadata
-        # numbering is global — so this memo only feeds accounting and
-        # the stored per-function IR snapshots.)
-        for fn in result.translation_unit.functions():
-            if fn.body is None:
-                continue
-            fn_key = stage_key(
-                "fn-codegen",
-                None,
-                [self.ci.mode, fn.name, dump_ast(fn.body, dump_shadow=True)],
-            )
-            if self.cache.has_function(fn_key):
-                FUNCTION_HITS.inc()
-            else:
-                ir_fn = result.module.functions.get(fn.name)
-                self.cache.put_function(
-                    fn_key,
-                    print_function(ir_fn) if ir_fn is not None else "",
-                )
         # Memoize the unoptimized module for O0 -> O1 resume.  When the
         # mid-end is about to mutate it, memoize a private copy.
         self.cache.put_module(

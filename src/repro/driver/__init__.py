@@ -1,5 +1,3 @@
-"""The compiler driver: a clang-like command line over the pipeline."""
-
-from repro.driver.cli import main
-
-__all__ = ["main"]
+"""The compiler drivers: ``miniclang`` (:mod:`repro.driver.cli`) and
+``miniclang-serve`` (:mod:`repro.driver.serve`), clang-like command
+lines over the pipeline and the compile service."""

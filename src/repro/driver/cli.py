@@ -46,6 +46,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from typing import Iterator
 
 from repro.core.crash_recovery import (
     InternalCompilerError,
@@ -208,38 +209,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         dest="print_stats",
         help="dump internal statistics counters (LLVM -stats style)",
     )
-    parser.add_argument(
-        "--stats-json",
-        default=None,
-        dest="stats_json",
-        metavar="FILE",
-        help="write this invocation's statistics deltas as sorted JSON "
-        "('-' for stdout)",
-    )
-    parser.add_argument(
-        "-print-cache-stats",
-        action="store_true",
-        dest="print_cache_stats",
-        help="dump the cache.* counters and cache tier summary "
-        "(use with -fcache)",
-    )
-    parser.add_argument(
-        "-fcache-max-entries",
-        type=int,
-        default=1024,
-        dest="cache_max_entries",
-        metavar="N",
-        help="in-memory cache tier capacity in entries (default 1024)",
-    )
-    parser.add_argument(
-        "-fcache-max-bytes",
-        type=int,
-        default=256 * 1024 * 1024,
-        dest="cache_max_bytes",
-        metavar="N",
-        help="on-disk cache tier budget in bytes (default 256 MiB); "
-        "oldest entries are evicted past it",
-    )
+    add_cache_and_stats_arguments(parser)
     parser.add_argument(
         "-Rpass",
         dest="rpass",
@@ -426,6 +396,44 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def add_cache_and_stats_arguments(parser: argparse.ArgumentParser) -> None:
+    """The cache-size and statistics-report flags ``miniclang`` and
+    ``miniclang-serve`` share (``-fcache[=DIR]`` itself is pulled out
+    of argv by :func:`parse_args`)."""
+    parser.add_argument(
+        "--stats-json",
+        default=None,
+        dest="stats_json",
+        metavar="FILE",
+        help="write this run's statistics deltas as sorted JSON "
+        "('-' for stdout)",
+    )
+    parser.add_argument(
+        "-print-cache-stats",
+        action="store_true",
+        dest="print_cache_stats",
+        help="dump the cache.* counters and cache tier summary "
+        "(use with -fcache)",
+    )
+    parser.add_argument(
+        "-fcache-max-entries",
+        type=int,
+        default=1024,
+        dest="cache_max_entries",
+        metavar="N",
+        help="in-memory cache tier capacity in entries (default 1024)",
+    )
+    parser.add_argument(
+        "-fcache-max-bytes",
+        type=int,
+        default=256 * 1024 * 1024,
+        dest="cache_max_bytes",
+        metavar="N",
+        help="on-disk cache tier budget in bytes (default 256 MiB); "
+        "oldest entries are evicted past it",
+    )
+
+
 def _build_instrumentation(args) -> PassInstrumentation | None:
     """A PassInstrumentation when any introspection flag is active."""
     instrument = PassInstrumentation(
@@ -492,6 +500,58 @@ def _extract_cache_flags(
     return remaining, cache_dir, durable
 
 
+def parse_args(
+    parser: argparse.ArgumentParser, argv: list[str]
+) -> argparse.Namespace:
+    """Parse *argv* after pulling the ``-fcache`` flags out of it; they
+    land on ``args.cache_dir`` and ``args.cache_durable``."""
+    argv, cache_dir, durable = _extract_cache_flags(argv)
+    args = parser.parse_args(argv)
+    args.cache_dir, args.cache_durable = cache_dir, durable
+    return args
+
+
+def build_cache(args):
+    """The ``-fcache`` compilation cache of *args* (:func:`parse_args`),
+    or None without ``-fcache``."""
+    if args.cache_dir is None:
+        return None
+    from repro.cache import CompilationCache
+
+    return CompilationCache(
+        args.cache_dir,
+        max_entries=args.cache_max_entries,
+        max_disk_bytes=args.cache_max_bytes,
+        durable=args.cache_durable,
+    )
+
+
+def read_inputs(
+    prog: str, paths: list[str]
+) -> Iterator[tuple[str, str | None]]:
+    """Yield ``(filename, source)`` for each input path in turn (``-``
+    reads stdin as ``<stdin>``).  An unreadable input prints
+    ``PROG: error: ...`` naming it and yields ``None`` as its source."""
+    for path in paths:
+        if path == "-":
+            yield "<stdin>", sys.stdin.read()
+            continue
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        except UnicodeDecodeError as err:
+            print(
+                f"{prog}: error: {path}: invalid UTF-8 in source file: "
+                f"{err}",
+                file=sys.stderr,
+            )
+            source = None
+        except OSError as err:
+            print(f"{prog}: error: {err}", file=sys.stderr)
+            source = None
+        yield path, source
+
+
 def _default_trace_path(input_name: str) -> str:
     if input_name == "-":
         return "stdin.time-trace.json"
@@ -519,9 +579,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     invocation = "miniclang " + " ".join(argv)
     argv, time_trace = _extract_time_trace(argv)
-    argv, cache_dir, cache_durable = _extract_cache_flags(argv)
     parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(parser, argv)
     if args.print_pipeline_passes:
         from repro.midend import default_pass_pipeline
 
@@ -556,47 +615,16 @@ def main(argv: list[str] | None = None) -> int:
         and (args.syntax_only or args.ast_dump or args.ast_dump_shadow),
     )
 
-    cache = None
-    if cache_dir is not None:
-        from repro.cache import CompilationCache
-
-        cache = CompilationCache(
-            cache_dir,
-            max_entries=args.cache_max_entries,
-            max_disk_bytes=args.cache_max_bytes,
-            durable=cache_durable,
-        )
-
+    cache = build_cache(args)
     stats_before = STATS.snapshot()
     if time_trace is not None:
         enable_time_trace()
     code = EXIT_OK
     try:
-        for input_path in args.inputs:
-            if input_path == "-":
-                source = sys.stdin.read()
-                filename = "<stdin>"
-            else:
-                try:
-                    with open(
-                        input_path, "r", encoding="utf-8"
-                    ) as fh:
-                        source = fh.read()
-                except UnicodeDecodeError as err:
-                    print(
-                        f"miniclang: error: {input_path}: invalid "
-                        f"UTF-8 in source file: {err}",
-                        file=sys.stderr,
-                    )
-                    code = worst_exit_code(code, EXIT_USER_ERROR)
-                    continue
-                except OSError as err:
-                    print(
-                        f"miniclang: error: {err}", file=sys.stderr
-                    )
-                    code = worst_exit_code(code, EXIT_USER_ERROR)
-                    continue
-                filename = input_path
+        for filename, source in read_inputs("miniclang", args.inputs):
+            if source is None:
+                code = worst_exit_code(code, EXIT_USER_ERROR)
+                continue
             # A crashing input must not stop the batch: every outcome
             # is contained to its input, the worst exit code wins
             # (severity policy shared with miniclang-serve, see

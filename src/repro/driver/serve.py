@@ -29,6 +29,13 @@ import os
 import signal
 import sys
 
+from repro.driver.cli import (
+    _print_stats,
+    add_cache_and_stats_arguments,
+    build_cache,
+    parse_args,
+    read_inputs,
+)
 from repro.driver.exitcodes import (
     EXIT_ICE,
     EXIT_OK,
@@ -44,11 +51,10 @@ from repro.instrument.stats import (
     stat_rows,
     stat_values,
 )
+from repro.instrument.telemetry import EventLog, TraceRecorder
 from repro.service import (
-    STATUS_CIRCUIT_OPEN,
     STATUS_DEGRADED,
     STATUS_ERROR,
-    STATUS_ICE,
     STATUS_OK,
     STATUS_RESOURCE_EXHAUSTED,
     STATUS_TIMEOUT,
@@ -261,35 +267,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="liveness-check idle workers this often (0 disables)",
     )
-    # -fcache[=DIR] / -fno-cache are extracted manually in main()
-    # (same nargs="?"-vs-positional hazard as miniclang's -ftime-trace)
-    parser.add_argument(
-        "-fcache-max-entries",
-        type=int,
-        default=1024,
-        dest="cache_max_entries",
-        metavar="N",
-        help="in-memory cache tier capacity in entries (default 1024)",
-    )
-    parser.add_argument(
-        "-fcache-max-bytes",
-        type=int,
-        default=256 * 1024 * 1024,
-        dest="cache_max_bytes",
-        metavar="N",
-        help="on-disk cache tier byte budget (default 256 MiB)",
-    )
     parser.add_argument(
         "--no-single-flight",
         action="store_true",
         help="do not coalesce concurrent identical requests onto one "
         "execution",
-    )
-    parser.add_argument(
-        "-print-cache-stats",
-        action="store_true",
-        dest="print_cache_stats",
-        help="dump the cache.* counters and cache tier summary",
     )
     parser.add_argument(
         "--json",
@@ -304,16 +286,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         dest="print_stats",
         help="dump the service.* and compile statistics to stderr",
     )
-    # -ftrace-requests[=DIR] is extracted manually in main() (the same
-    # nargs="?"-vs-positional hazard as -fcache / -ftime-trace)
-    parser.add_argument(
-        "--stats-json",
-        default=None,
-        dest="stats_json",
-        metavar="FILE",
-        help="write this batch's statistics deltas as sorted JSON "
-        "('-' for stdout)",
-    )
+    # -fcache[=DIR] and -ftrace-requests[=DIR] are extracted manually
+    # (the same nargs="?"-vs-positional hazard as -ftime-trace)
+    add_cache_and_stats_arguments(parser)
     parser.add_argument(
         "--metrics-json",
         default=None,
@@ -346,41 +321,47 @@ def build_arg_parser() -> argparse.ArgumentParser:
 DEFAULT_TRACE_DIR = "service-traces"
 
 
-class _DrainSignals:
-    """SIGTERM/SIGINT -> graceful drain (systemd-style stop protocol).
+class _DrainOnSignal:
+    """SIGTERM/SIGINT -> graceful drain (systemd-style stop protocol),
+    in batch and ``--listen`` mode alike.
 
-    First signal: admission closes, in-flight work gets the drain
-    deadline, state is snapshotted, the process exits 0.  Second
-    signal: immediate exit with the conventional ``128 + signum``.
+    First signal: print the notice and call *drain* with the deadline
+    (admission closes, in-flight work gets the deadline, state is
+    snapshotted, the process exits 0).  Second signal: immediate exit
+    with the conventional ``128 + signum``.
     """
 
-    def __init__(self, service, drain_deadline_s: float) -> None:
-        self.service = service
-        self.drain_deadline_s = drain_deadline_s
+    def __init__(self, drain, deadline_s: float) -> None:
+        self._drain = drain
+        self.deadline_s = deadline_s
         self.triggered = False
         self._previous: dict[int, object] = {}
 
-    def _handle(self, signum, frame) -> None:
+    def __call__(self, signum: int, frame=None) -> None:
         if self.triggered:
             os._exit(128 + signum)
         self.triggered = True
         name = signal.Signals(signum).name
         print(
             f"miniclang-serve: {name} received: draining "
-            f"(deadline {self.drain_deadline_s:.1f}s; send again to "
+            f"(deadline {self.deadline_s:.1f}s; send again to "
             "exit immediately)",
             file=sys.stderr,
+            flush=True,
         )
-        self.service.begin_drain(self.drain_deadline_s)
+        self._drain(self.deadline_s)
 
-    def install(self) -> None:
+    def install(self, loop=None) -> None:
+        """Handle both signals on the asyncio *loop* when given, else
+        through :func:`signal.signal` until :meth:`restore`."""
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
-                self._previous[signum] = signal.signal(
-                    signum, self._handle
-                )
-            except (ValueError, OSError):  # pragma: no cover
-                pass  # non-main thread / unsupported platform
+                if loop is not None:
+                    loop.add_signal_handler(signum, self, signum)
+                else:
+                    self._previous[signum] = signal.signal(signum, self)
+            except (ValueError, OSError, RuntimeError, NotImplementedError):
+                pass  # pragma: no cover - non-main thread / platform
 
     def restore(self) -> None:
         for signum, previous in self._previous.items():
@@ -407,8 +388,8 @@ def _extract_trace_requests(
     return remaining, trace_dir
 
 
-def _status_line(name: str, request, response: CompileResponse) -> str:
-    bits = [f"miniclang-serve: {response.request_id} {name}:"]
+def _status_line(request, response: CompileResponse) -> str:
+    bits = [f"miniclang-serve: {response.request_id} {request.filename}:"]
     if response.status == STATUS_DEGRADED:
         bits.append(
             f"degraded ({request.mode}->{other_mode(request.mode)})"
@@ -452,91 +433,82 @@ def _response_exit_code(response: CompileResponse) -> int:
     return EXIT_ICE
 
 
-def _shard_configs(
-    args, cache_dir, cache_durable, trace_dir, event_log
-) -> list[ServiceConfig]:
-    """One ServiceConfig per shard, from the shared CLI knobs.  Every
-    shard gets its own state subdirectory (independent breaker boards
-    persist independently) and skips response retention (a long-lived
-    server answers through the response hook, not the batch map)."""
-    configs: list[ServiceConfig] = []
-    for index in range(max(1, args.shards)):
-        configs.append(
-            ServiceConfig(
-                workers=args.workers,
-                queue_capacity=args.queue_capacity,
-                deadline_s=args.deadline,
-                retry=RetryPolicy(
-                    max_attempts=1 + max(0, args.retries)
-                ),
-                hedge_delay_s=args.hedge_delay,
-                allow_degraded=not args.no_degrade,
-                quarantine_dir=args.quarantine_dir or None,
-                enable_cache=cache_dir is not None,
-                cache_dir=cache_dir,
-                cache_max_entries=args.cache_max_entries,
-                cache_max_bytes=args.cache_max_bytes,
-                cache_durable=cache_durable,
-                single_flight=not args.no_single_flight,
-                state_dir=(
-                    os.path.join(args.state_dir, f"shard-{index}")
-                    if args.state_dir
-                    else None
-                ),
-                drain_deadline_s=args.drain_timeout,
-                worker_max_requests=args.worker_max_requests,
-                heartbeat_interval_s=args.heartbeat_interval,
-                trace_requests=trace_dir is not None,
-                trace_dir=trace_dir,
-                event_log=event_log,
-                retain_responses=False,
-            )
-        )
-    return configs
+def _parse(
+    argv: list[str],
+) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
+    """The parser and the parsed *argv*: ``-fcache`` lands on
+    ``args.cache_dir``/``args.cache_durable``, ``-ftrace-requests`` on
+    ``args.trace_dir``."""
+    argv, trace_dir = _extract_trace_requests(argv)
+    parser = build_arg_parser()
+    args = parse_args(parser, argv)
+    args.trace_dir = trace_dir
+    return parser, args
 
 
-def _run_server(
-    args, cache_dir, cache_durable, trace_dir
-) -> int:
+def _service_config(
+    args, event_log, shard: int | None = None
+) -> ServiceConfig:
+    """The service *args* ask for, in batch mode or as ``--listen``
+    shard *shard*.  A shard keeps its state in ``state_dir/shard-N``
+    (independent breaker boards persist independently).  Every call
+    builds its own cache and tracer objects."""
+    state_dir = args.state_dir
+    if state_dir and shard is not None:
+        state_dir = os.path.join(state_dir, f"shard-{shard}")
+    return ServiceConfig(
+        workers=args.workers,
+        queue_capacity=args.queue_capacity,
+        deadline_s=args.deadline,
+        retry=RetryPolicy(max_attempts=1 + max(0, args.retries)),
+        hedge_delay_s=args.hedge_delay,
+        allow_degraded=not args.no_degrade,
+        quarantine_dir=args.quarantine_dir or None,
+        cache=build_cache(args),
+        single_flight=not args.no_single_flight,
+        state_dir=state_dir,
+        worker_max_requests=args.worker_max_requests,
+        heartbeat_interval_s=args.heartbeat_interval,
+        tracer=(
+            TraceRecorder(directory=args.trace_dir)
+            if args.trace_dir is not None
+            else None
+        ),
+        event_log=event_log,
+    )
+
+
+def _run_server(args, address, event_log, stats_before: dict) -> int:
     """``--listen`` mode: the asyncio TCP front door over a shard
     router.  Runs until a drain completes (SIGTERM/SIGINT; a second
     signal exits immediately) and exits 0 on a graceful drain."""
     import asyncio
 
-    from repro.instrument.telemetry import EventLog
-    from repro.service.net import (
-        NetServer,
-        NetServerConfig,
-        ShardRouter,
-        parse_address,
-    )
+    from repro.service.net import NetServer, NetServerConfig, ShardRouter
 
-    try:
-        host, port = parse_address(args.listen)
-    except ValueError as err:
-        print(f"miniclang-serve: error: {err}", file=sys.stderr)
-        return EXIT_USER_ERROR
-    event_log = (
-        EventLog(path=args.log_jsonl) if args.log_jsonl else None
-    )
-    stats_before = STATS.snapshot()
     router = ShardRouter(
-        _shard_configs(
-            args, cache_dir, cache_durable, trace_dir, event_log
-        )
+        [
+            _service_config(args, event_log, shard)
+            for shard in range(max(1, args.shards))
+        ]
     )
+    host, port = address
     net_config = NetServerConfig(
         host=host,
         port=port,
         max_connections=args.max_connections,
         frame_timeout_s=args.frame_timeout,
         idle_timeout_s=args.idle_timeout,
-        drain_deadline_s=args.drain_timeout,
     )
 
     async def _serve() -> None:
         server = NetServer(router, net_config)
         bound_host, bound_port = await server.start()
+        # Before the banner: a supervisor may signal as soon as it
+        # reads the address, and the default action would skip the drain.
+        _DrainOnSignal(server.request_drain, args.drain_timeout).install(
+            asyncio.get_running_loop()
+        )
         print(
             f"miniclang-serve: listening on {bound_host}:{bound_port} "
             f"({router.shard_count} shard(s), {args.workers} "
@@ -544,30 +516,6 @@ def _run_server(
             file=sys.stderr,
             flush=True,
         )
-        loop = asyncio.get_running_loop()
-        triggered: set[int] = set()
-
-        def on_signal(signum: int) -> None:
-            if triggered:
-                os._exit(128 + signum)
-            triggered.add(signum)
-            name = signal.Signals(signum).name
-            print(
-                f"miniclang-serve: {name} received: draining "
-                f"(deadline {args.drain_timeout:.1f}s; send again to "
-                "exit immediately)",
-                file=sys.stderr,
-                flush=True,
-            )
-            server.request_drain(args.drain_timeout)
-
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum, on_signal, signum
-                )
-            except (NotImplementedError, RuntimeError):
-                pass  # pragma: no cover - non-unix platforms
         await server.serve_until_drained()
 
     router.start()
@@ -575,8 +523,6 @@ def _run_server(
         asyncio.run(_serve())
     finally:
         router.shutdown()
-        if event_log is not None:
-            event_log.close()
     metrics = router.merged_metrics()
     stats = stat_values(metrics.snapshot())
     print(
@@ -592,6 +538,77 @@ def _run_server(
     return EXIT_OK
 
 
+def _run_batch(args, event_log, stats_before: dict) -> int:
+    """Batch mode: one request per input, served in order."""
+    requests: list[CompileRequest] = []
+    code = EXIT_OK
+    for filename, source in read_inputs("miniclang-serve", args.inputs):
+        if source is None:
+            code = EXIT_USER_ERROR
+            continue
+        requests.append(
+            CompileRequest(
+                source=source,
+                filename=filename,
+                action="run" if args.run else "compile",
+                mode=args.mode,
+                optimize=args.optimize,
+                num_threads=args.num_threads,
+                entry=args.entry,
+                fuel=args.fuel,
+                deadline_s=args.deadline,
+                allow_degraded=not args.no_degrade,
+                inject_faults=tuple(args.inject_faults),
+                fault_attempts=args.fault_attempts,
+            )
+        )
+    config = _service_config(args, event_log)
+    with CompileService(config) as service:
+        drainer = _DrainOnSignal(service.begin_drain, args.drain_timeout)
+        drainer.install()
+        try:
+            responses = service.process_batch(requests)
+        finally:
+            drainer.restore()
+    for request, response in zip(requests, responses):
+        print(_status_line(request, response), file=sys.stderr)
+        if response.status not in (STATUS_OK, STATUS_DEGRADED):
+            detail = response.diagnostics or response.detail
+            if detail:
+                print(detail.rstrip("\n"), file=sys.stderr)
+        if args.json_output:
+            print(json.dumps(response.to_dict()))
+        elif response.ok and response.output:
+            sys.stdout.write(response.output)
+            if not response.output.endswith("\n"):
+                sys.stdout.write("\n")
+        code = worst_exit_code(code, _response_exit_code(response))
+    if drainer.triggered:
+        served = sum(1 for r in responses if r.ok)
+        shed = sum(
+            1
+            for r in responses
+            if r.status == STATUS_RESOURCE_EXHAUSTED
+        )
+        print(
+            f"miniclang-serve: drained: {served} served, {shed} shed, "
+            "state snapshotted; exiting 0",
+            file=sys.stderr,
+        )
+        # A graceful drain is a *successful* shutdown: the shed work
+        # got structured answers and the supervisor must not treat the
+        # stop as a crash (systemd's clean-stop contract).
+        code = EXIT_OK
+    if config.tracer is not None and config.tracer.written:
+        print(
+            f"miniclang-serve: wrote {len(config.tracer.written)} request "
+            f"trace(s) to {config.tracer.directory}",
+            file=sys.stderr,
+        )
+    _write_reports(args, service.metrics, stats_before, config.cache)
+    return code
+
+
 def _write_reports(
     args, metrics: MetricsRegistry, stats_before: dict, cache=None
 ) -> None:
@@ -603,8 +620,6 @@ def _write_reports(
     ``--metrics-prom`` from *metrics*, and the statistics reports: the
     registry's own statistics (``service.requests``, ...) next to the
     STATS delta."""
-    from repro.driver.cli import _print_stats
-
     snapshot = metrics.snapshot()
     for violation in accounting_violations(
         STATS.delta_since(stats_before), snapshot
@@ -627,136 +642,29 @@ def _write_reports(
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.driver.cli import _extract_cache_flags
-    from repro.instrument.telemetry import EventLog
-
-    argv = list(sys.argv[1:] if argv is None else argv)
-    argv, cache_dir, cache_durable = _extract_cache_flags(argv)
-    argv, trace_dir = _extract_trace_requests(argv)
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    parser, args = _parse(list(sys.argv[1:] if argv is None else argv))
+    address = None
     if args.listen is not None:
+        from repro.service.net import parse_address
+
         if args.inputs:
             parser.error("--listen takes no input files")
-        return _run_server(args, cache_dir, cache_durable, trace_dir)
-    if not args.inputs:
+        try:
+            address = parse_address(args.listen)
+        except ValueError as err:
+            print(f"miniclang-serve: error: {err}", file=sys.stderr)
+            return EXIT_USER_ERROR
+    elif not args.inputs:
         parser.error("input files required (or --listen HOST:PORT)")
-
-    requests: list[CompileRequest] = []
-    names: list[str] = []
-    read_errors = 0
-    for input_path in args.inputs:
-        if input_path == "-":
-            source = sys.stdin.read()
-            filename = "<stdin>"
-        else:
-            try:
-                with open(input_path, "r", encoding="utf-8") as fh:
-                    source = fh.read()
-            except (OSError, UnicodeDecodeError) as err:
-                print(
-                    f"miniclang-serve: error: {err}", file=sys.stderr
-                )
-                read_errors += 1
-                continue
-            filename = input_path
-        requests.append(
-            CompileRequest(
-                source=source,
-                filename=filename,
-                action="run" if args.run else "compile",
-                mode=args.mode,
-                optimize=args.optimize,
-                num_threads=args.num_threads,
-                entry=args.entry,
-                fuel=args.fuel,
-                deadline_s=args.deadline,
-                allow_degraded=not args.no_degrade,
-                inject_faults=tuple(args.inject_faults),
-                fault_attempts=args.fault_attempts,
-            )
-        )
-        names.append(filename)
-
-    event_log = (
-        EventLog(path=args.log_jsonl) if args.log_jsonl else None
-    )
-    config = ServiceConfig(
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        deadline_s=args.deadline,
-        retry=RetryPolicy(max_attempts=1 + max(0, args.retries)),
-        hedge_delay_s=args.hedge_delay,
-        allow_degraded=not args.no_degrade,
-        quarantine_dir=args.quarantine_dir or None,
-        enable_cache=cache_dir is not None,
-        cache_dir=cache_dir,
-        cache_max_entries=args.cache_max_entries,
-        cache_max_bytes=args.cache_max_bytes,
-        cache_durable=cache_durable,
-        single_flight=not args.no_single_flight,
-        state_dir=args.state_dir,
-        drain_deadline_s=args.drain_timeout,
-        worker_max_requests=args.worker_max_requests,
-        heartbeat_interval_s=args.heartbeat_interval,
-        trace_requests=trace_dir is not None,
-        trace_dir=trace_dir,
-        event_log=event_log,
-    )
+    event_log = EventLog(path=args.log_jsonl) if args.log_jsonl else None
     stats_before = STATS.snapshot()
-    code = EXIT_USER_ERROR if read_errors else EXIT_OK
-    drainer = None
     try:
-        with CompileService(config) as service:
-            drainer = _DrainSignals(service, args.drain_timeout)
-            drainer.install()
-            try:
-                responses = service.process_batch(requests)
-            finally:
-                drainer.restore()
-            service_cache = service.cache
-            metrics = service.metrics
-            traces_written = list(service.tracer.written)
+        if address is not None:
+            return _run_server(args, address, event_log, stats_before)
+        return _run_batch(args, event_log, stats_before)
     finally:
         if event_log is not None:
             event_log.close()
-    for name, request, response in zip(names, requests, responses):
-        print(_status_line(name, request, response), file=sys.stderr)
-        if response.status not in (STATUS_OK, STATUS_DEGRADED):
-            detail = response.diagnostics or response.detail
-            if detail:
-                print(detail.rstrip("\n"), file=sys.stderr)
-        if args.json_output:
-            print(json.dumps(response.to_dict()))
-        elif response.ok and response.output:
-            sys.stdout.write(response.output)
-            if not response.output.endswith("\n"):
-                sys.stdout.write("\n")
-        code = worst_exit_code(code, _response_exit_code(response))
-    if drainer is not None and drainer.triggered:
-        served = sum(1 for r in responses if r.ok)
-        shed = sum(
-            1
-            for r in responses
-            if r.status == STATUS_RESOURCE_EXHAUSTED
-        )
-        print(
-            f"miniclang-serve: drained: {served} served, {shed} shed, "
-            "state snapshotted; exiting 0",
-            file=sys.stderr,
-        )
-        # A graceful drain is a *successful* shutdown: the shed work
-        # got structured answers and the supervisor must not treat the
-        # stop as a crash (systemd's clean-stop contract).
-        code = EXIT_OK
-    if trace_dir is not None and traces_written:
-        print(
-            f"miniclang-serve: wrote {len(traces_written)} request "
-            f"trace(s) to {trace_dir}",
-            file=sys.stderr,
-        )
-    _write_reports(args, metrics, stats_before, service_cache)
-    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

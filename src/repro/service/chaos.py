@@ -49,6 +49,7 @@ import threading
 import time
 from typing import Optional
 
+from repro.cache import CompilationCache
 from repro.instrument.stats import (
     STATS,
     MetricsRegistry,
@@ -542,13 +543,15 @@ def run_storage_chaos(args) -> int:
 
     campaign = Campaign("storage-chaos", args)
     campaign.oracle = oracle
+
+    def fresh_cache() -> CompilationCache:
+        return CompilationCache(args.cache_dir, durable=args.durable)
+
     config = campaign.service_config(
         # Long cooldown: restored OPEN breakers must still be OPEN
         # when phase B resubmits the poison inputs.
         breaker_cooldown_s=600.0,
-        enable_cache=True,
-        cache_dir=args.cache_dir,
-        cache_durable=args.durable,
+        cache=fresh_cache(),
         state_dir=args.state_dir,
         metrics=MetricsRegistry(),
     )
@@ -561,6 +564,8 @@ def run_storage_chaos(args) -> int:
     mid_state = load_state(args.state_dir)
 
     # -- phase B: a fresh instance on the same cache + state dirs ------
+    # (a fresh cache object too: a restart starts with cold memory tiers)
+    config = dataclasses.replace(config, cache=fresh_cache())
     with CompileService(config) as service_b:
         restored = dict(service_b.quarantined)
         responses_b = service_b.process_batch([r for _, r in phase_b])
@@ -817,15 +822,9 @@ def run_net_chaos(args) -> int:
 
     campaign = Campaign("net-chaos", args)
     check = campaign.check
-    shard_configs = [
-        campaign.service_config(retain_responses=False)
-        for _ in range(args.shards)
-    ]
+    shard_configs = [campaign.service_config() for _ in range(args.shards)]
     net_config = NetServerConfig(
-        frame_timeout_s=1.0,
-        idle_timeout_s=60.0,
-        write_timeout_s=5.0,
-        drain_deadline_s=10.0,
+        frame_timeout_s=1.0, idle_timeout_s=60.0, write_timeout_s=5.0
     )
     # The well-behaved load: per client, every kill_every-th request
     # kills its worker on the first attempt.
@@ -891,7 +890,7 @@ def run_net_chaos(args) -> int:
     )
     campaign.expect("net.requests", ">", 0, "(admitted over the wire)")
     if len(schedule) >= args.shards * 4:
-        for row in campaign.snapshot["router_requests_total"]["series"]:
+        for row in campaign.snapshot["net.routed"]["series"]:
             check(
                 row["value"] > 0,
                 f"shard {row['labels'].get('shard')} never saw a "

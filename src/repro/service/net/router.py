@@ -43,9 +43,6 @@ from repro.service.request import (
 )
 from repro.service.service import CompileService, ServiceConfig
 
-_ROUTED = get_statistic(
-    "net", "routed", "Requests routed to a shard"
-)
 _SHARD_FAILURES = get_statistic(
     "net",
     "shard-failures",
@@ -268,10 +265,8 @@ class ShardRouter:
             "Open circuit breakers per shard",
             ("shard",),
         )
-        self._m_routed = self.metrics.counter(
-            "router_requests_total",
-            "Requests routed, by shard",
-            ("shard",),
+        routed = self.metrics.counter(
+            "net.routed", "Requests routed to a shard", ("shard",)
         )
         # Pre-create every label cell from this (single) thread so the
         # pump threads only ever mutate their own existing cell.
@@ -281,9 +276,7 @@ class ShardRouter:
             shard.g_depth = g_depth.labels(shard=label)
             shard.g_in_flight = g_in_flight.labels(shard=label)
             shard.g_breakers = g_breakers.labels(shard=label)
-            self._routed_cells.append(
-                self._m_routed.labels(shard=label)
-            )
+            self._routed_cells.append(routed.labels(shard=label))
 
     # ------------------------------------------------------------------
     @property
@@ -347,15 +340,12 @@ class ShardRouter:
                 _shard.depth -= 1
             callback(response)
 
-        _ROUTED.inc()
         self._routed_cells[shard.index].inc()
         shard.post(("submit", request, release_and_forward))
         return shard.index
 
     # ------------------------------------------------------------------
-    def begin_drain(
-        self, deadline_s: Optional[float] = None
-    ) -> None:
+    def begin_drain(self, deadline_s: float) -> None:
         """Ask every shard to drain: admission closes (further submits
         get structured rejects), in-flight work gets until the drain
         deadline, stragglers are shed with terminal answers."""

@@ -122,8 +122,6 @@ class NetServerConfig:
     #: a peer must drain our writes within this window
     write_timeout_s: float = 10.0
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-    #: default drain deadline handed to the router on SIGTERM
-    drain_deadline_s: float = 10.0
 
 
 class _Connection:
@@ -454,9 +452,7 @@ class NetServer:
     # ------------------------------------------------------------------
     # Drain
     # ------------------------------------------------------------------
-    def request_drain(
-        self, deadline_s: Optional[float] = None
-    ) -> None:
+    def request_drain(self, deadline_s: float) -> None:
         """Begin the structured shutdown (callable from a signal
         handler registered on this loop): stop accepting, announce
         ``draining`` on every connection, drain the shards, close.
@@ -464,21 +460,16 @@ class NetServer:
         if self._draining:
             return
         self._draining = True
-        deadline = (
-            deadline_s
-            if deadline_s is not None
-            else self.config.drain_deadline_s
-        )
         if self._server is not None:
             self._server.close()
-        self.router.begin_drain(deadline)
+        self.router.begin_drain(deadline_s)
         notices = [
             asyncio.ensure_future(
                 self._send(conn, draining_message("draining"))
             )
             for conn in list(self._conns)
         ]
-        asyncio.ensure_future(self._drain_watch(deadline, notices))
+        asyncio.ensure_future(self._drain_watch(deadline_s, notices))
 
     async def _drain_watch(
         self, deadline_s: float, notices: Sequence = ()

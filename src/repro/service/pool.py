@@ -32,15 +32,6 @@ _WORKER_RESTARTS = get_statistic(
 )
 
 
-def _pick_start_method(requested: Optional[str]) -> str:
-    if requested is not None:
-        return requested
-    # fork reuses the parent's already-imported pipeline (fast start);
-    # spawn is the portable fallback.
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
 class WorkerHandle:
     """One worker process plus its parent-side pipe endpoint."""
 
@@ -95,13 +86,14 @@ class WorkerHandle:
 class WorkerPool:
     """Fixed-size pool of :class:`WorkerHandle` processes."""
 
-    def __init__(
-        self, size: int = 2, start_method: Optional[str] = None
-    ) -> None:
+    def __init__(self, size: int = 2) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
+        # fork reuses the parent's already-imported pipeline (fast
+        # start); spawn is the portable fallback.
+        methods = multiprocessing.get_all_start_methods()
         self.ctx = multiprocessing.get_context(
-            _pick_start_method(start_method)
+            "fork" if "fork" in methods else "spawn"
         )
         self.workers = [WorkerHandle(self.ctx) for _ in range(size)]
         self._closed = False

@@ -32,7 +32,7 @@ representation:
   worker; degraded answers live under a ``#degraded``-tagged key and
   nothing is served or stored while the fingerprint's breaker is not
   closed.  Workers additionally share a per-stage artifact cache
-  through ``cache_dir`` (:mod:`repro.cache.stages`);
+  through the cache's directory (:mod:`repro.cache.stages`);
 * **single-flight dedup** — concurrent identical fingerprints collapse
   onto one leader execution; followers park and receive copies of the
   leader's terminal response (``coalesced=True``).
@@ -204,49 +204,29 @@ class ServiceConfig:
             "MINICLANG_QUARANTINE_DIR", "service-quarantine"
         )
     )
-    start_method: Optional[str] = None
-    #: a :class:`repro.cache.CompilationCache` to memoize terminal
-    #: responses in (None disables response caching); built from
-    #: ``cache_dir`` when ``enable_cache`` is set and no instance given
+    #: the compilation cache: terminal responses are memoized in it,
+    #: and when it has a disk tier every worker roots its per-stage
+    #: artifact cache at the same directory, with the same durability
+    #: (None disables caching)
     cache: Optional[CompilationCache] = None
-    enable_cache: bool = False
-    #: shared on-disk cache directory: the parent's response cache and
-    #: every worker's artifact cache root here (None = parent-memory
-    #: response cache only, no worker-side artifact caching)
-    cache_dir: Optional[str] = None
-    cache_max_entries: int = 1024
-    cache_max_bytes: int = 256 * 1024 * 1024
-    #: fsync cache writes before rename (``-fcache-durable``), in the
-    #: parent's response cache and every worker's artifact cache
-    cache_durable: bool = False
     #: coalesce concurrent identical requests onto one execution
     single_flight: bool = True
     #: directory for durable state snapshots (breaker board + poison
     #: quarantine); None disables persistence
     state_dir: Optional[str] = None
-    #: how long drain mode lets in-flight work finish before shedding
-    drain_deadline_s: float = 10.0
     #: preemptively recycle a worker after this many completed attempts
     #: (gunicorn's ``max_requests`` leak amnesty); None disables
     worker_max_requests: Optional[int] = None
     #: liveness-check idle workers this often (0 disables)
     heartbeat_interval_s: float = 5.0
-    #: build one merged cross-process Chrome trace per request
-    #: (``miniclang-serve -ftrace-requests``); implied by ``trace_dir``
-    trace_requests: bool = False
-    #: directory for per-request ``<request_id>.trace.json`` dumps
-    trace_dir: Optional[str] = None
+    #: sink for one merged cross-process Chrome trace per request
+    #: (``miniclang-serve -ftrace-requests``); None disables tracing
+    tracer: Optional[TraceRecorder] = None
     #: structured JSONL request-lifecycle log (``--log-jsonl``)
     event_log: Optional[EventLog] = None
     #: metrics registry to record into; a private one is created when
     #: None (inject a shared registry to aggregate across services)
     metrics: Optional[MetricsRegistry] = None
-    #: keep every terminal response in the ``responses`` map (what
-    #: :meth:`CompileService.process_batch` reads back).  Long-lived
-    #: callers that consume responses through the ``on_response`` hook
-    #: — the network shard router — set this False so a server that
-    #: answers millions of requests does not grow an unbounded dict.
-    retain_responses: bool = True
 
 
 class _RequestState:
@@ -301,19 +281,15 @@ class CompileService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
-        self.pool = WorkerPool(
-            self.config.workers, self.config.start_method
-        )
+        self.pool = WorkerPool(self.config.workers)
         self.metrics = (
             self.config.metrics
             if self.config.metrics is not None
             else MetricsRegistry()
         )
         self.events = self.config.event_log
-        self._trace_requests = bool(
-            self.config.trace_requests or self.config.trace_dir
-        )
-        self.tracer = TraceRecorder(directory=self.config.trace_dir)
+        self.tracer = self.config.tracer
+        self.cache = self.config.cache
         self._init_instruments()
         self._queue: AdmissionQueue[_RequestState] = AdmissionQueue(
             self.config.queue_capacity,
@@ -325,7 +301,6 @@ class CompileService:
             on_transition=self._on_breaker_transition,
         )
         self._active: list[_RequestState] = []
-        self._responses: dict[str, CompileResponse] = {}
         #: observer called with every terminal CompileResponse, right
         #: after it is recorded — the shard router resolves its
         #: per-request futures here.  Fires synchronously, including
@@ -333,14 +308,6 @@ class CompileService:
         self.on_response = None
         self._seq = 0
         self._clock = time.monotonic
-        self._cache: Optional[CompilationCache] = self.config.cache
-        if self._cache is None and self.config.enable_cache:
-            self._cache = CompilationCache(
-                self.config.cache_dir,
-                max_entries=self.config.cache_max_entries,
-                max_disk_bytes=self.config.cache_max_bytes,
-                durable=self.config.cache_durable,
-            )
         self._inflight: InflightTable[_RequestState] = InflightTable()
         #: fingerprint -> quarantine metadata, persisted via state_dir
         self._quarantined: dict[str, dict] = {}
@@ -349,10 +316,6 @@ class CompileService:
         self._last_heartbeat_at = self._clock()
         if self.config.state_dir:
             self._restore_state()
-
-    @property
-    def cache(self) -> Optional[CompilationCache]:
-        return self._cache
 
     # ------------------------------------------------------------------
     # Durable state
@@ -418,9 +381,7 @@ class CompileService:
     def draining(self) -> bool:
         return self._draining
 
-    def begin_drain(
-        self, deadline_s: Optional[float] = None
-    ) -> None:
+    def begin_drain(self, deadline_s: float) -> None:
         """Enter drain mode: admission closes (new submissions get a
         structured ``resource-exhausted`` answer), in-flight and queued
         work gets until the drain deadline to finish, then is shed.
@@ -428,16 +389,11 @@ class CompileService:
         if self._draining:
             return
         self._draining = True
-        deadline = (
-            deadline_s
-            if deadline_s is not None
-            else self.config.drain_deadline_s
-        )
-        self._drain_deadline_at = self._clock() + max(0.0, deadline)
+        self._drain_deadline_at = self._clock() + max(0.0, deadline_s)
         _DRAINS.inc()
         self._emit(
             "drain-begin",
-            deadline_s=deadline,
+            deadline_s=deadline_s,
             queued=len(self._queue),
             active=len(self._active),
         )
@@ -592,8 +548,14 @@ class CompileService:
         self, request: CompileRequest
     ) -> Optional[CompileResponse]:
         """Admit one request.  Returns a terminal response immediately
-        when the request is rejected (open breaker, shed load); None
-        when it was queued — drain to get its response."""
+        when the request is rejected (open breaker, shed load) or
+        replayed from the cache; None when it was queued — drain to get
+        its response (the ``on_response`` hook sees every answer)."""
+        return self._admit(request).response
+
+    def _admit(self, request: CompileRequest) -> _RequestState:
+        """:meth:`submit`, returning the request's state; its
+        ``response`` is set once the request resolves."""
         self._m_requests.inc()
         self._seq += 1
         if request.request_id is None:
@@ -605,12 +567,13 @@ class CompileService:
             self._emit(
                 "drain-reject", request_id=request.request_id
             )
-            return self._reject(
+            self._reject(
                 state,
                 STATUS_RESOURCE_EXHAUSTED,
                 "service draining: admission closed; resubmit to a "
                 "live instance",
             )
+            return state
         if request.budget_s is not None and request.budget_s <= 0:
             # Propagated-deadline hygiene: a caller whose budget is
             # already spent gets an instant answer instead of burning a
@@ -621,13 +584,14 @@ class CompileService:
                 request_id=request.request_id,
                 stage="admission",
             )
-            return self._reject(
+            self._reject(
                 state,
                 STATUS_TIMEOUT,
                 "deadline budget exhausted before admission "
                 f"({request.budget_s:.3f}s remaining)",
             )
-        if self._trace_requests:
+            return state
+        if self.tracer is not None:
             # Mint the trace context at admission (or join one the
             # caller pre-set, OpenTelemetry-style); every decision from
             # here on lands in this request's merged trace.
@@ -649,7 +613,7 @@ class CompileService:
         # quarantined fingerprint must be rejected, never answered from
         # a cache entry recorded back when it was healthy, and a
         # half-open probe must actually run.
-        if breaker.state == CLOSED and self._cache is not None:
+        if breaker.state == CLOSED and self.cache is not None:
             lookup_start = time.perf_counter_ns()
             response = self._serve_from_cache(state)
             if state.trace is not None:
@@ -660,7 +624,7 @@ class CompileService:
                     detail="hit" if response is not None else "miss",
                 )
             if response is not None:
-                return response
+                return state
         decision_start = time.perf_counter_ns()
         allowed = breaker.allow()
         if state.trace is not None:
@@ -678,12 +642,13 @@ class CompileService:
                 trace_id=request.trace_id,
                 fingerprint=state.fingerprint,
             )
-            return self._reject(
+            self._reject(
                 state,
                 STATUS_CIRCUIT_OPEN,
                 "circuit breaker open for this input fingerprint "
                 f"({state.fingerprint}): quarantined as poison",
             )
+            return state
         if self.config.single_flight:
             # Single-flight: an identical request already in flight
             # makes this one a follower — it parks, runs nothing, and
@@ -697,18 +662,19 @@ class CompileService:
                     trace_id=request.trace_id,
                     fingerprint=state.fingerprint,
                 )
-                return None
+                return state
         if not self._queue.offer(state):
             _SHED.inc()
-            return self._reject(
+            self._reject(
                 state,
                 STATUS_RESOURCE_EXHAUSTED,
                 "admission queue over capacity "
                 f"({self._queue.capacity}); retry later",
             )
+            return state
         if self.config.single_flight:
             self._inflight.lead(state.fingerprint, state)
-        return None
+        return state
 
     def _serve_from_cache(
         self, state: _RequestState
@@ -716,15 +682,15 @@ class CompileService:
         """Replay a memoized terminal response, if one exists.  The
         degraded-tagged key is consulted only as a fallback and only
         when degradation is allowed for this request."""
-        assert self._cache is not None
+        assert self.cache is not None
         tier = "response-hit"
-        data = self._cache.get_response(state.fingerprint)
+        data = self.cache.get_response(state.fingerprint)
         if (
             data is None
             and self.config.allow_degraded
             and state.request.allow_degraded
         ):
-            data = self._cache.get_response(
+            data = self.cache.get_response(
                 degraded_key(state.fingerprint)
             )
             if data is not None:
@@ -749,15 +715,16 @@ class CompileService:
 
     def _reject(
         self, state: _RequestState, status: str, detail: str
-    ) -> CompileResponse:
-        response = CompileResponse(
-            request_id=state.request.request_id,
-            status=status,
-            detail=detail,
-            mode_used=None,
+    ) -> None:
+        self._record_response(
+            state,
+            CompileResponse(
+                request_id=state.request.request_id,
+                status=status,
+                detail=detail,
+                mode_used=None,
+            ),
         )
-        self._record_response(state, response)
-        return response
 
     # ------------------------------------------------------------------
     # The event loop
@@ -825,12 +792,9 @@ class CompileService:
         self, requests: list[CompileRequest]
     ) -> list[CompileResponse]:
         """Submit *requests*, drain, and return responses in order."""
-        order: list[str] = []
-        for request in requests:
-            self.submit(request)
-            order.append(request.request_id)
+        states = [self._admit(request) for request in requests]
         self.drain()
-        return [self._responses[rid] for rid in order]
+        return [state.response for state in states]
 
     # ------------------------------------------------------------------
     def _start_ready(self, now: float) -> None:
@@ -900,6 +864,7 @@ class CompileService:
         attempt_span_id = (
             new_span_id() if state.trace is not None else None
         )
+        cache = self.cache
         payload = WorkPayload(
             request_id=request.request_id,
             attempt=attempt,
@@ -910,12 +875,11 @@ class CompileService:
                 enable_irbuilder=state.mode == "irbuilder",
             ),
             inject_faults=request.faults_for_attempt(attempt),
-            cache_dir=(
-                self.config.cache_dir
-                if self._cache is not None
-                else None
-            ),
-            cache_durable=self.config.cache_durable,
+            # Workers share the cache's disk tier through its directory.
+            cache_dir=cache.directory if cache is not None else None,
+            cache_durable=cache is not None
+            and cache.disk is not None
+            and cache.disk.durable,
             trace_id=(
                 request.trace_id if state.trace is not None else None
             ),
@@ -1434,7 +1398,7 @@ class CompileService:
         transient by definition), and files degraded results under the
         degraded-tagged key so they can never shadow a primary result.
         """
-        if self._cache is None or response.cache_hit:
+        if self.cache is None or response.cache_hit:
             return
         if response.status not in self._CACHEABLE_STATUSES:
             return
@@ -1443,7 +1407,7 @@ class CompileService:
         key = state.fingerprint
         if response.status == STATUS_DEGRADED:
             key = degraded_key(key)
-        self._cache.put_response(key, response.to_dict())
+        self.cache.put_response(key, response.to_dict())
         self._m_cache_events.labels(tier="store").inc()
 
     @staticmethod
@@ -1494,8 +1458,6 @@ class CompileService:
             cache_hit=response.cache_hit or None,
             coalesced=response.coalesced or None,
         )
-        if self.config.retain_responses:
-            self._responses[response.request_id] = response
         state.response = response
         profiler = active_time_trace()
         if profiler is not None:
@@ -1509,10 +1471,6 @@ class CompileService:
             self.on_response(response)
 
     # ------------------------------------------------------------------
-    @property
-    def responses(self) -> dict[str, CompileResponse]:
-        return dict(self._responses)
-
     def shutdown(self) -> None:
         self.snapshot_state()
         self.pool.shutdown()
@@ -1563,7 +1521,8 @@ def accounting_violations(*snapshots: dict) -> list[str]:
     * ``service.requests`` == Σ ``service.responses{status}`` == Σ
       ``service_request_duration_seconds`` counts;
     * each histogram series' bucket counts sum to its count;
-    * ``router_requests_total`` == ``service.requests``;
+    * ``net.routed`` (the router's per-shard count) ==
+      ``service.requests``;
     * ``net.requests`` == ``net.responses-sent`` +
       ``net.responses-orphaned`` == ``service.requests``;
     * every queue-depth and in-flight gauge reads 0 (call after a
@@ -1600,11 +1559,9 @@ def accounting_violations(*snapshots: dict) -> list[str]:
                     out.append(
                         f"{series}={row['value']} after drain, expected 0"
                     )
-    routed = _total(snapshots, "router_requests_total")
+    routed = _total(snapshots, "net.routed")
     if routed is not None and routed != requests:
-        out.append(
-            f"router_requests_total={routed} != service.requests={requests}"
-        )
+        out.append(f"net.routed={routed} != service.requests={requests}")
     wire = [
         _total(snapshots, f"net.{name}")
         for name in ("requests", "responses-sent", "responses-orphaned")

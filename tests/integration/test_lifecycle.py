@@ -118,6 +118,32 @@ int main() {{
         # The state snapshot survived the stop.
         assert load_state(str(state_dir)) is not None
 
+    def test_listen_sigterm_right_after_the_banner_still_drains(
+        self, tmp_path
+    ):
+        """The banner is the supervisor's cue that the server is up, so
+        the drain handler must already be installed when it appears:
+        a SIGTERM sent on reading it drains instead of killing."""
+        for attempt in range(3):
+            proc = _serve(
+                [
+                    "--listen", "127.0.0.1:0",
+                    "--workers", "1",
+                    "--state-dir", str(tmp_path / f"state-{attempt}"),
+                ],
+                tmp_path,
+            )
+            try:
+                assert "listening on" in proc.stderr.readline()
+                proc.send_signal(signal.SIGTERM)
+                _, stderr = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+            assert proc.returncode == 0, stderr
+            assert "drained:" in stderr
+
     def test_drain_mode_rejects_new_admissions(self):
         before = STATS.snapshot()
         with CompileService(
@@ -141,6 +167,8 @@ int main() {{
                 retry=RetryPolicy(max_attempts=1),
             )
         ) as service:
+            responses = []
+            service.on_response = responses.append
             # A worker hang outlives any sane drain deadline.
             service.submit(
                 _request(
@@ -153,7 +181,6 @@ int main() {{
             service.begin_drain(0.3)
             service.drain()
             assert clock() - started < 10.0
-            responses = list(service.responses.values())
             assert len(responses) == 1
             assert (
                 responses[0].status == STATUS_RESOURCE_EXHAUSTED

@@ -45,7 +45,6 @@ def _configs(n: int = 2) -> list[ServiceConfig]:
                 max_attempts=3, base_delay_s=0.01, max_delay_s=0.1
             ),
             quarantine_dir=None,
-            retain_responses=False,
         )
         for _ in range(n)
     ]

@@ -53,7 +53,7 @@ def make_service(**overrides) -> CompileService:
             max_attempts=3, base_delay_s=0.01, max_delay_s=0.05
         ),
         quarantine_dir=None,
-        enable_cache=True,
+        cache=CompilationCache(),
     )
     kwargs.update(overrides)
     return CompileService(ServiceConfig(**kwargs))
@@ -132,11 +132,11 @@ class TestResponseCache:
 
     def test_disk_cache_survives_service_restart(self, tmp_path):
         d = str(tmp_path / "cache")
-        with make_service(cache_dir=d) as svc:
+        with make_service(cache=CompilationCache(d)) as svc:
             [cold] = svc.process_batch(
                 [CompileRequest(source=HELLO, action="run")]
             )
-        with make_service(cache_dir=d) as svc:
+        with make_service(cache=CompilationCache(d)) as svc:
             [warm] = svc.process_batch(
                 [CompileRequest(source=HELLO, action="run")]
             )
@@ -191,7 +191,7 @@ class TestSingleFlight:
         assert sum(r.attempts for r in responses) == 2
 
     def test_single_flight_can_be_disabled(self):
-        with make_service(single_flight=False, enable_cache=False) as svc:
+        with make_service(single_flight=False, cache=None) as svc:
             responses = svc.process_batch(
                 [
                     CompileRequest(source=HELLO, action="run")

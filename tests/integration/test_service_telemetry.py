@@ -10,7 +10,7 @@ import json
 import os
 
 from repro.instrument.stats import stat_values
-from repro.instrument.telemetry import EventLog, read_jsonl
+from repro.instrument.telemetry import EventLog, TraceRecorder, read_jsonl
 from repro.service import (
     STATUS_OK,
     CompileRequest,
@@ -54,9 +54,7 @@ class TestRequestTracing:
         pipeline stages, with real pids from at least two OS processes
         and correct parent/child nesting throughout."""
         trace_dir = str(tmp_path / "traces")
-        with make_service(
-            trace_requests=True, trace_dir=trace_dir
-        ) as svc:
+        with make_service(tracer=TraceRecorder(directory=trace_dir)) as svc:
             (response,) = svc.process_batch(
                 [CompileRequest(source=HELLO, action="run")]
             )
@@ -116,7 +114,7 @@ class TestRequestTracing:
 
     def test_untraced_requests_write_nothing(self, tmp_path):
         trace_dir = str(tmp_path / "traces")
-        with make_service(trace_dir=None) as svc:
+        with make_service(tracer=None) as svc:
             (response,) = svc.process_batch(
                 [CompileRequest(source=HELLO)]
             )
@@ -238,9 +236,7 @@ class TestEventLogCorrelation:
     def test_events_share_the_response_trace_id(self, tmp_path):
         stream = io.StringIO()
         log = EventLog(stream=stream)
-        with make_service(
-            trace_requests=True, event_log=log
-        ) as svc:
+        with make_service(tracer=TraceRecorder(), event_log=log) as svc:
             (response,) = svc.process_batch(
                 [CompileRequest(source=HELLO, action="run")]
             )

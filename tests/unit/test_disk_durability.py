@@ -7,6 +7,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import sys
 
 import pytest
 
@@ -101,6 +102,29 @@ class TestSelfHealing:
         assert tier.get(KEY) is None
         assert tier.put(KEY, PAYLOAD) > 0
         assert tier.get(KEY) == PAYLOAD
+
+    def test_default_warning_is_one_write(self, tmp_path, monkeypatch):
+        """Service workers share stderr: a warning written as message
+        and newline separately interleaves with another worker's."""
+        writes: list[str] = []
+
+        class Recorder:
+            def write(self, text: str) -> int:
+                writes.append(text)
+                return len(text)
+
+            def flush(self) -> None:
+                pass
+
+        monkeypatch.setattr(sys, "stderr", Recorder())
+        tier = DiskTier(str(tmp_path / "cache"))
+        tier.put(KEY, PAYLOAD)
+        with open(tier._object_path(KEY), "ab") as fh:
+            fh.write(b"garbage")
+        assert tier.get(KEY) is None
+        assert len(writes) == 1, writes
+        assert writes[0].startswith("miniclang: warning: disk cache ")
+        assert writes[0].endswith(")\n")
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.driver import serve
 from repro.driver.cli import main
 from repro.driver.exitcodes import (
     EXIT_ICE,
@@ -187,3 +188,28 @@ class TestBatchAggregation:
     def test_unreadable_input_is_user_error(self, write, capsys):
         ok = write("ok.c", OK_SOURCE)
         assert main(["/nonexistent/missing.c", ok]) == EXIT_USER_ERROR
+
+
+class TestInputReading:
+    """Both drivers read their inputs through one loop."""
+
+    @pytest.mark.parametrize("prog", ["miniclang", "miniclang-serve"])
+    def test_non_utf8_input_is_named_and_the_batch_goes_on(
+        self, prog, write, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.c"
+        bad.write_bytes(b"int main() { return 0; }\n// \xff\n")
+        ok = write("ok.c", OK_SOURCE)
+        if prog == "miniclang":
+            code = main([str(bad), ok])
+        else:
+            code = serve.main(
+                ["--workers", "1", "--quarantine-dir=", str(bad), ok]
+            )
+        captured = capsys.readouterr()
+        assert code == EXIT_USER_ERROR
+        assert (
+            f"{prog}: error: {bad}: invalid UTF-8 in source file: "
+            in captured.err
+        )
+        assert f"; ModuleID = '{ok}'" in captured.out

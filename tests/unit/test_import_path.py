@@ -42,3 +42,18 @@ def test_cli_import_loads_no_optional_package():
         env=env,
     )
     assert out.stdout.split() == []
+
+
+def test_cli_module_runs_once():
+    """``python -m repro.driver.cli`` executes ``cli.py`` once.  A
+    package ``__init__`` that imports the module makes runpy execute it
+    a second time as ``__main__`` and warn about it on stderr."""
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.driver.cli", "-print-pipeline-passes"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src_dir),
+    )
+    assert "RuntimeWarning" not in out.stderr, out.stderr

@@ -41,7 +41,7 @@ def _router(shards: int = 2) -> MetricsRegistry:
     merged = MetricsRegistry()
     for i in range(shards):
         merged.merge(_service(ok=i + 1).snapshot())
-        merged.counter("router_requests_total", labels=("shard",)).labels(
+        merged.counter("net.routed", labels=("shard",)).labels(
             shard=str(i)
         ).inc(i + 2)
         for gauge in ("service_shard_queue_depth", "service_shard_in_flight"):
@@ -100,10 +100,10 @@ class TestEachIdentityBroken:
 
     def test_router_count_off(self):
         merged = _router()
-        merged.counter("router_requests_total", labels=("shard",)).labels(
+        merged.counter("net.routed", labels=("shard",)).labels(
             shard="0"
         ).inc()
-        _names([merged.snapshot()], "router_requests_total=6", "requests=5")
+        _names([merged.snapshot()], "net.routed=6", "requests=5")
 
     def test_wire_response_not_counted(self):
         _names(

@@ -53,6 +53,7 @@ from typing import Optional
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.cache import CompilationCache  # noqa: E402
 from repro.instrument.stats import STATS  # noqa: E402
 from repro.service import (  # noqa: E402
     CompileRequest,
@@ -160,8 +161,7 @@ def _mix_config(name: str, args, scratch: str) -> ServiceConfig:
     if name == "cached":
         return ServiceConfig(
             queue_capacity=args.batch * 8,
-            enable_cache=True,
-            cache_dir=os.path.join(scratch, "cache"),
+            cache=CompilationCache(os.path.join(scratch, "cache")),
             **common,
         )
     if name == "faulted":
@@ -337,14 +337,12 @@ def _transport_configs(
             max_attempts=3, base_delay_s=0.01, max_delay_s=0.1
         ),
         quarantine_dir=None,
-        retain_responses=False,
     )
     if mix == "cached":
         return [
             ServiceConfig(
-                enable_cache=True,
-                cache_dir=os.path.join(
-                    scratch, f"{transport}-{mix}-cache-{i}"
+                cache=CompilationCache(
+                    os.path.join(scratch, f"{transport}-{mix}-cache-{i}")
                 ),
                 **common,
             )
